@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,22 @@ class TestDeterminism:
         text1 = serialize_reports(run_verification(base), "json")
         text2 = serialize_reports(run_verification(parallel), "json")
         assert text1 == text2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """Reports for n = 3..8 at seed 42 with 3 samples, frozen as files by
+    `python -m facevol --n-range 3:8 --seed 42 --samples 3 --output
+    tests/golden` (and again with `--format markdown`)."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_reports_are_byte_identical(self, n):
+        report = verify_single(n, samples=3, seed=42)
+        for fmt, ext in (("json", "json"), ("markdown", "md")):
+            golden = (GOLDEN / f"verify_n{n}.{ext}").read_text()
+            assert serialize_report(report, fmt) == golden
 
 
 class TestRunConfig:
