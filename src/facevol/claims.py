@@ -33,10 +33,6 @@ def claimed_largest_singular_value(n: int) -> Fraction:
     return Fraction((n - 2) * (n - 1))
 
 
-def claimed_middle_singular_value(n: int) -> Fraction:
-    return Fraction(n - 2)
-
-
 def claimed_middle_singular_multiplicity(n: int) -> Fraction:
     return Fraction(n)
 

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -92,15 +93,20 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     return RationalMatrix(rows)
 
 
+@lru_cache(maxsize=1)
+def regular_jacobian(n: int) -> RationalMatrix:
+    """The squared-coordinate Jacobian at the unit regular point."""
+    return jacobian_squared_map(EdgeLengthAssignment.regular(n))
+
+
 def scaled_jacobian_at_regular(n: int) -> RationalMatrix:
     """(n-1)/(2 F^2) times the squared-coordinate Jacobian at the unit regular
     point, where F^2 is the common squared codim-2 face volume there. Equals
     the 0/1 incidence matrix exactly."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    jac = jacobian_squared_map(EdgeLengthAssignment.regular(n))
     f2 = unit_regular_squared_volume(n - 2)
-    return jac.scaled(Fraction(n - 1) / (2 * f2))
+    return regular_jacobian(n).scaled(Fraction(n - 1) / (2 * f2))
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,8 @@ def independence_certificate(
             if is_nondegenerate(cand):
                 points.append(cand)
                 break
-    ranks = tuple(_verified_rank(jacobian_squared_map(p)) for p in points)
+    jacobians = [regular_jacobian(n)] + [jacobian_squared_map(p) for p in points[1:]]
+    ranks = tuple(_verified_rank(jac) for jac in jacobians)
     full = comb(n + 1, 2)
     f2 = unit_regular_squared_volume(n - 2)
     return IndependenceCertificate(
@@ -179,17 +186,19 @@ def _float_face_volume(sq: dict[tuple[int, int], float], face: Sequence[int]) ->
     return math.sqrt(max(v2, 0.0))
 
 
-def fd_crosscheck(E: EdgeLengthAssignment, step: float = 1e-4) -> float:
+def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> float:
     """Max absolute deviation between central finite differences of the
     unsquared volumes w.r.t. unsquared lengths and the exact chain-ruled
-    derivatives. Second-order accurate in the step."""
+    derivatives from ``jac``, the squared-coordinate Jacobian at E.
+    Second-order accurate in the step."""
     if step <= 0:
         raise ValueError("step must be positive")
     if not is_nondegenerate(E):
         raise ValueError("degenerate edge-length assignment")
-    jac = jacobian_squared_map(E)
     faces = subsets_colex(E.n + 1, E.n - 1)
     edges = subsets_colex(E.n + 1, 2)
+    if (jac.nrows, jac.ncols) != (len(faces), len(edges)):
+        raise ValueError(f"{jac!r} is not a Jacobian at an n={E.n} point")
     base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
     worst = 0.0
     for i, face in enumerate(faces):

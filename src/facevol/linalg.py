@@ -7,8 +7,7 @@ exact; there is no floating-point code path in this module.
 Determinants use Bareiss fraction-free elimination on denominator-cleared
 integer rows, so intermediate values stay integers of bounded size instead of
 rationals with growing gcd cost. Characteristic polynomials use the
-Faddeev-LeVerrier recurrence, with a pure-integer fast path for integer
-matrices.
+Faddeev-LeVerrier recurrence on the denominator-cleared integer matrix.
 """
 
 from __future__ import annotations
@@ -163,10 +162,6 @@ class Polynomial:
     def degree(self) -> int:
         return -1 if self.is_zero else len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -220,22 +215,6 @@ class Polynomial:
                 for j, c in enumerate(dc):
                     rem[i + j] -= f * c
         return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def evaluate_matrix(self, m: RationalMatrix) -> RationalMatrix:
-        """Horner evaluation with the matrix substituted for the variable."""
-        if m.nrows != m.ncols:
-            raise ValueError("matrix evaluation needs a square matrix")
-        acc = RationalMatrix.identity(m.nrows).scaled(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc @ m + RationalMatrix.identity(m.nrows).scaled(c)
-        return acc
 
 
 def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], Fraction]:
@@ -310,12 +289,12 @@ def eigen_multiplicity(m: RationalMatrix, lam: Fraction | int) -> int:
     return m.nrows - rank(m.shifted(lam))
 
 
-def _charpoly_ints(a: list[list[int]], n: int) -> list[Fraction]:
-    coeffs: list[Fraction | None] = [None] * (n + 1)
-    coeffs[n] = Fraction(1)
+def _charpoly_ints(a: list[list[int]], n: int) -> list[int]:
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     c = -sum(a[i][i] for i in range(n))
-    coeffs[n - 1] = Fraction(c)
+    coeffs[n - 1] = c
     rng = range(n)
     for k in range(2, n + 1):
         newm = []
@@ -329,41 +308,22 @@ def _charpoly_ints(a: list[list[int]], n: int) -> list[Fraction]:
         q, r = divmod(-t, k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         c = q
-        coeffs[n - k] = Fraction(c)
-    return coeffs  # type: ignore[return-value]
-
-
-def _charpoly_fracs(a: list[list[Fraction]], n: int) -> list[Fraction]:
-    coeffs: list[Fraction | None] = [None] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mat = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    c = -sum((a[i][i] for i in range(n)), Fraction(0))
-    coeffs[n - 1] = c
-    rng = range(n)
-    for k in range(2, n + 1):
-        newm = []
-        for i in rng:
-            arow = a[i]
-            newm.append(
-                [sum(arow[t] * mat[t][j] for t in rng) + (c if i == j else 0) for j in rng]
-            )
-        mat = newm
-        t = sum((a[i][j] * mat[j][i] for i in rng for j in rng), Fraction(0))
-        c = -t / k
         coeffs[n - k] = c
-    return coeffs  # type: ignore[return-value]
+    return coeffs
 
 
 def char_poly(m: RationalMatrix) -> Polynomial:
-    """Characteristic polynomial det(x*I - m), monic, via Faddeev-LeVerrier."""
+    """Characteristic polynomial det(x*I - m), monic, via Faddeev-LeVerrier.
+
+    With d the lcm of the denominators, d*m is an integer matrix and its
+    coefficient of x^k is d^(n-k) times that of m."""
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
-    if all(x.denominator == 1 for row in m.rows for x in row):
-        coeffs = _charpoly_ints([[x.numerator for x in row] for row in m.rows], n)
-    else:
-        coeffs = _charpoly_fracs([list(row) for row in m.rows], n)
-    return Polynomial(coeffs)
+    d = math.lcm(*(x.denominator for row in m.rows for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
+    coeffs = _charpoly_ints(a, n)
+    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs))
 
 
 def poly_divides(d: Polynomial, p: Polynomial) -> bool:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
+from . import __version__
 from .claims import ClaimRecord, claimed_incidence_det_abs
 from .exceptions import IntegrityError
 from .gelfand import EigenvectorMatch, GelfandReport, gelfand_report
@@ -34,26 +35,27 @@ from .jacobian import (
     IndependenceCertificate,
     fd_crosscheck,
     independence_certificate,
+    regular_jacobian,
     scaled_jacobian_at_regular,
 )
-from .linalg import det_fraction_free, eigen_multiplicity, format_rational, parse_rational
+from .linalg import eigen_multiplicity, format_rational, parse_rational
 from .spectral import (
     EigenvalueWitness,
     SingularValueEntry,
     SpectrumCertificate,
     build_gram,
-    check_equitable,
+    det_gram,
     det_incidence,
     divisor_divides,
     divisor_matrix,
+    divisor_quotient,
     full_spectrum,
     spectrum_summary,
 )
-from .subsets import build_incidence_matrix, orbit_partition, unrank_subset
+from .subsets import build_incidence_matrix
 
 log = logging.getLogger("facevol")
 
-TOOL_VERSION = "0.1.0"
 FD_STEP = 1e-4
 FD_TOLERANCE = 1e-5
 DEFAULT_N_RANGE = (4, 8)
@@ -97,7 +99,7 @@ def _spectrum_n3() -> SpectrumCertificate:
     gram = build_gram(3)
     mult = eigen_multiplicity(gram, 1)
     det_m = det_incidence(3)
-    if mult != gram.nrows or det_m * det_m != det_fraction_free(gram):
+    if mult != gram.nrows or det_m * det_m != det_gram(3):
         raise IntegrityError("n=3 spectrum certification failed")
     det_abs = abs(det_m)
     record = ClaimRecord.compare(
@@ -114,6 +116,118 @@ def _spectrum_n3() -> SpectrumCertificate:
     )
 
 
+# Each check reads the report's fields (n, samples, seed, ...) from one dict,
+# stores the certificate it produces there, and returns (ok, details). An
+# IntegrityError it raises is recorded as a failure of that check.
+
+
+def _geometry_sanity(r: dict) -> tuple[bool, str]:
+    regular = EdgeLengthAssignment.regular(r["n"])
+    f2 = unit_regular_squared_volume(r["n"] - 2)
+    vols = all_codim2_squared_volumes(regular)
+    ok = all(v == f2 for v in vols) and is_nondegenerate(regular)
+    return ok, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
+
+
+def _incidence_structure(r: dict) -> tuple[bool, str]:
+    m = build_incidence_matrix(r["n"])
+    deg = comb(r["n"] - 1, 2)
+    ok = (
+        all(x in (0, 1) for row in m.rows for x in row)
+        and all(sum(row) == deg for row in m.rows)
+        and all(sum(col) == deg for col in zip(*m.rows))
+    )
+    return ok, f"side {m.nrows}, row and column sums {deg}"
+
+
+def _jacobian_identity(r: dict) -> tuple[bool, str]:
+    ok = scaled_jacobian_at_regular(r["n"]) == build_incidence_matrix(r["n"])
+    return ok, "scaled Jacobian at the regular point equals the incidence matrix"
+
+
+def _independence(r: dict) -> tuple[bool, str]:
+    cert = r["independence"] = independence_certificate(r["n"], r["samples"], r["seed"])
+    ranks = ", ".join(str(k) for k in cert.ranks)
+    return cert.verdict, f"ranks [{ranks}] of {cert.full_rank}"
+
+
+def _gram_consistency(r: dict) -> tuple[bool, str]:
+    gram = build_gram(r["n"])  # raises if the two constructions disagree
+    return gram.is_symmetric(), f"side {gram.nrows}, both constructions agree"
+
+
+def _equitable(r: dict) -> tuple[bool, str]:
+    return divisor_quotient(r["n"]).equitable, "stabilizer orbit partition is equitable"
+
+
+def _divisor_closed(r: dict) -> tuple[bool, str]:
+    divisor_matrix(r["n"])  # raises on any deviation from the closed form
+    return True, "orbit quotient matches the closed-form entries"
+
+
+def _divides(r: dict) -> tuple[bool, str]:
+    return divisor_divides(r["n"]), "divisor char poly divides Gram char poly"
+
+
+def _spectrum(r: dict) -> tuple[bool, str]:
+    spectrum = r["spectrum"] = full_spectrum(r["n"]) if r["n"] >= 4 else _spectrum_n3()
+    return True, spectrum_summary(spectrum)
+
+
+def _determinant(r: dict) -> tuple[bool, str]:
+    det_m = det_incidence(r["n"])
+    ok = det_m != 0 and det_m * det_m == det_gram(r["n"])
+    return ok, f"|det M| = {format_rational(abs(det_m))}"
+
+
+def _gelfand(r: dict) -> GelfandReport:
+    # Built by the first gelfand check. If building it fails, each later
+    # gelfand check tries again and fails with the same error.
+    if r["gelfand"] is None:
+        r["gelfand"] = gelfand_report(r["n"])
+    return r["gelfand"]
+
+
+def _commutativity(r: dict) -> tuple[bool, str]:
+    return _gelfand(r).commutative, "class indicator matrices commute"
+
+
+def _eigenspace_structure(r: dict) -> tuple[bool, str]:
+    g = _gelfand(r)
+    ok = g.distinct_eigenvalues == 3 and sum(g.eigenspace_dims) == comb(r["n"] + 1, 2)
+    return ok, f"3 eigenspaces of dimensions {list(g.eigenspace_dims)}"
+
+
+def _eigenvector_matching(r: dict) -> tuple[bool, str]:
+    _gelfand(r)  # raises unless every lift is an exact eigenvector
+    return True, "all divisor eigenvectors lift exactly"
+
+
+def _fd(r: dict) -> tuple[bool, str]:
+    regular = EdgeLengthAssignment.regular(r["n"])
+    dev = fd_crosscheck(regular, regular_jacobian(r["n"]), FD_STEP)
+    return dev <= FD_TOLERANCE, f"max deviation {dev:.3e} at step {FD_STEP:g}"
+
+
+# (name, min_n, check), in report order; every n reports every row.
+CHECKS: tuple[tuple[str, int, Callable[[dict], tuple[bool, str]]], ...] = (
+    ("geometry_sanity", 3, _geometry_sanity),
+    ("incidence_structure", 3, _incidence_structure),
+    ("jacobian_identity", 3, _jacobian_identity),
+    ("independence_certificate", 3, _independence),
+    ("gram_consistency", 3, _gram_consistency),
+    ("orbit_partition_equitable", 4, _equitable),
+    ("divisor_closed_form", 4, _divisor_closed),
+    ("divisor_char_poly_divides", 4, _divides),
+    ("spectrum_certificate", 3, _spectrum),
+    ("incidence_determinant", 3, _determinant),
+    ("orbital_commutativity", 4, _commutativity),
+    ("eigenspace_structure", 4, _eigenspace_structure),
+    ("eigenvector_matching", 4, _eigenvector_matching),
+    ("fd_crosscheck", 3, _fd),
+)
+
+
 def verify_single(n: int, samples: int = 3, seed: int = 42) -> VerificationReport:
     """Run every check for one dimension. Deterministic given (n, seed,
     samples); claim mismatches are recorded but do not fail."""
@@ -121,151 +235,28 @@ def verify_single(n: int, samples: int = 3, seed: int = 42) -> VerificationRepor
         raise ValueError(f"need n >= 3, got {n}")
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    checks: list[CheckResult] = []
-
-    def run(name: str, fn: Callable[[], tuple[bool, str]], min_n: int = 3) -> None:
-        if n < min_n:
-            checks.append(CheckResult(name, "skip", f"defined for n >= {min_n}"))
-            return
-        try:
-            ok, details = fn()
-        except IntegrityError as exc:
-            checks.append(CheckResult(name, "fail", str(exc)))
-            return
-        checks.append(CheckResult(name, "pass" if ok else "fail", details))
-        log.info("n=%d %s: %s", n, name, checks[-1].status)
-
-    regular = EdgeLengthAssignment.regular(n)
-
-    def geometry_sanity() -> tuple[bool, str]:
-        f2 = unit_regular_squared_volume(n - 2)
-        vols = all_codim2_squared_volumes(regular)
-        ok = all(v == f2 for v in vols) and is_nondegenerate(regular)
-        return ok, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
-
-    run("geometry_sanity", geometry_sanity)
-
-    def incidence_structure() -> tuple[bool, str]:
-        m = build_incidence_matrix(n)
-        deg = comb(n - 1, 2)
-        ok = (
-            all(x in (0, 1) for row in m.rows for x in row)
-            and all(sum(row) == deg for row in m.rows)
-            and all(sum(col) == deg for col in zip(*m.rows))
-        )
-        return ok, f"side {m.nrows}, row and column sums {deg}"
-
-    run("incidence_structure", incidence_structure)
-
-    def jacobian_identity() -> tuple[bool, str]:
-        ok = scaled_jacobian_at_regular(n) == build_incidence_matrix(n)
-        return ok, "scaled Jacobian at the regular point equals the incidence matrix"
-
-    run("jacobian_identity", jacobian_identity)
-
-    independence: IndependenceCertificate | None = None
-
-    def independence_check() -> tuple[bool, str]:
-        nonlocal independence
-        independence = independence_certificate(n, samples, seed)
-        ranks = ", ".join(str(r) for r in independence.ranks)
-        return independence.verdict, f"ranks [{ranks}] of {independence.full_rank}"
-
-    run("independence_certificate", independence_check)
-
-    def gram_consistency() -> tuple[bool, str]:
-        gram = build_gram(n)  # raises if the two constructions disagree
-        return gram.is_symmetric(), f"side {gram.nrows}, both constructions agree"
-
-    run("gram_consistency", gram_consistency)
-
-    def equitable() -> tuple[bool, str]:
-        dq = check_equitable(
-            build_gram(n), orbit_partition(n, unrank_subset(n + 1, n - 1, 0))
-        )
-        return dq.equitable, "stabilizer orbit partition is equitable"
-
-    run("orbit_partition_equitable", equitable, min_n=4)
-
-    def divisor_closed() -> tuple[bool, str]:
-        divisor_matrix(n)  # raises on any deviation from the closed form
-        return True, "orbit quotient matches the closed-form entries"
-
-    run("divisor_closed_form", divisor_closed, min_n=4)
-
-    def divides() -> tuple[bool, str]:
-        return divisor_divides(n), "divisor char poly divides Gram char poly"
-
-    run("divisor_char_poly_divides", divides, min_n=4)
-
-    spectrum: SpectrumCertificate | None = None
-
-    def spectrum_check() -> tuple[bool, str]:
-        nonlocal spectrum
-        spectrum = full_spectrum(n) if n >= 4 else _spectrum_n3()
-        return True, spectrum_summary(spectrum)
-
-    run("spectrum_certificate", spectrum_check)
-
-    def determinant() -> tuple[bool, str]:
-        det_m = det_incidence(n)
-        ok = det_m != 0 and det_m * det_m == det_fraction_free(build_gram(n))
-        return ok, f"|det M| = {format_rational(abs(det_m))}"
-
-    run("incidence_determinant", determinant)
-
-    gelfand: GelfandReport | None = None
-    if n >= 4:
-        try:
-            gelfand = gelfand_report(n)
-        except IntegrityError as exc:
-            checks.append(CheckResult("eigenvector_matching", "fail", str(exc)))
-    if gelfand is not None:
-        checks.append(
-            CheckResult(
-                "orbital_commutativity",
-                "pass" if gelfand.commutative else "fail",
-                "class indicator matrices commute",
-            )
-        )
-        structure_ok = (
-            gelfand.distinct_eigenvalues == 3
-            and sum(gelfand.eigenspace_dims) == comb(n + 1, 2)
-        )
-        checks.append(
-            CheckResult(
-                "eigenspace_structure",
-                "pass" if structure_ok else "fail",
-                f"3 eigenspaces of dimensions {list(gelfand.eigenspace_dims)}",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "eigenvector_matching",
-                "pass",
-                "all divisor eigenvectors lift exactly",
-            )
-        )
-    elif n < 4:
-        for name in ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching"):
-            checks.append(CheckResult(name, "skip", "defined for n >= 4"))
-
-    def fd_check() -> tuple[bool, str]:
-        dev = fd_crosscheck(regular, FD_STEP)
-        return dev <= FD_TOLERANCE, f"max deviation {dev:.3e} at step {FD_STEP:g}"
-
-    run("fd_crosscheck", fd_check)
-
-    return VerificationReport(
+    r = dict(
         n=n,
         seed=seed,
         samples=samples,
-        tool_version=TOOL_VERSION,
-        checks=tuple(checks),
-        spectrum=spectrum,
-        independence=independence,
-        gelfand=gelfand,
+        tool_version=__version__,
+        spectrum=None,
+        independence=None,
+        gelfand=None,
     )
+    checks = []
+    for name, min_n, check in CHECKS:
+        if n < min_n:
+            checks.append(CheckResult(name, "skip", f"defined for n >= {min_n}"))
+            continue
+        try:
+            ok, details = check(r)
+        except IntegrityError as exc:
+            checks.append(CheckResult(name, "fail", str(exc)))
+        else:
+            checks.append(CheckResult(name, "pass" if ok else "fail", details))
+        log.info("n=%d %s: %s", n, name, checks[-1].status)
+    return VerificationReport(checks=tuple(checks), **r)
 
 
 @dataclass(frozen=True)

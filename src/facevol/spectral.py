@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -46,7 +46,7 @@ from .subsets import (
 )
 
 
-@cache
+@lru_cache(maxsize=1)
 def build_gram(n: int) -> RationalMatrix:
     """Gram matrix of the incidence rows: entry (i,j) counts the edges the
     i-th and j-th codim-2 faces share. Built both as M M^T and from the
@@ -122,15 +122,21 @@ def divisor_closed_form(n: int) -> RationalMatrix:
     )
 
 
-@cache
+@lru_cache(maxsize=1)
+def divisor_quotient(n: int) -> DivisorQuotient:
+    """Quotient of the Gram matrix by the stabilizer orbits of the first face."""
+    base = unrank_subset(n + 1, n - 1, 0)
+    return check_equitable(build_gram(n), orbit_partition(n, base))
+
+
+@lru_cache(maxsize=1)
 def divisor_matrix(n: int) -> RationalMatrix:
     """Equitable quotient of the Gram matrix by the stabilizer orbits of the
     first face; certified equal to the closed-form entries. Needs n >= 4 (at
     n = 3 the third orbit degenerates and the quotient is trivial)."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    base = unrank_subset(n + 1, n - 1, 0)
-    dq = check_equitable(build_gram(n), orbit_partition(n, base))
+    dq = divisor_quotient(n)
     if not dq.equitable:
         raise IntegrityError(f"orbit partition is not equitable at n={n}")
     if dq.quotient != divisor_closed_form(n):
@@ -186,10 +192,16 @@ class SpectrumCertificate:
     discrepancies: tuple[ClaimRecord, ...]
 
 
-@cache
+@lru_cache(maxsize=1)
 def det_incidence(n: int) -> Fraction:
     """Exact (signed) determinant of the incidence matrix."""
     return det_fraction_free(build_incidence_matrix(n))
+
+
+@lru_cache(maxsize=1)
+def det_gram(n: int) -> Fraction:
+    """Exact determinant of the Gram matrix."""
+    return det_fraction_free(build_gram(n))
 
 
 def _audit_claims(
@@ -203,7 +215,7 @@ def _audit_claims(
     largest_sv = exact_sqrt(largest_eigenvalue)
     if largest_sv is None:
         raise IntegrityError("largest Gram eigenvalue is not a perfect square")
-    part = orbit_partition(n, unrank_subset(n + 1, n - 1, 0))
+    part = divisor_quotient(n).partition
     entries = claimed_gram_entries(n)
     return (
         ClaimRecord.compare(
@@ -241,7 +253,7 @@ def _audit_claims(
     )
 
 
-@cache
+@lru_cache(maxsize=1)
 def full_spectrum(n: int) -> SpectrumCertificate:
     """Complete certified spectrum of the Gram matrix for n >= 4.
 
@@ -270,14 +282,13 @@ def full_spectrum(n: int) -> SpectrumCertificate:
         raise IntegrityError(f"multiplicities do not exhaust the spectrum at n={n}")
     if sum((w.value * w.multiplicity for w in witnesses), Fraction(0)) != gram.trace():
         raise IntegrityError(f"trace identity failed at n={n}")
-    det_gram = det_fraction_free(gram)
     prod = Fraction(1)
     for w in witnesses:
         prod *= w.value**w.multiplicity
-    if prod != det_gram:
+    if prod != det_gram(n):
         raise IntegrityError(f"eigenvalue product does not match det at n={n}")
     det_m = det_incidence(n)
-    if det_m * det_m != det_gram:
+    if det_m * det_m != det_gram(n):
         raise IntegrityError(f"incidence determinant squared mismatch at n={n}")
     det_abs = abs(det_m)
     discrepancies = _audit_claims(

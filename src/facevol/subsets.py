@@ -8,7 +8,7 @@ all matrices index them by colex rank so every run is byte-reproducible.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -53,6 +53,7 @@ def unrank_subset(n_total: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+# Unbounded: callers alternate between edges and faces of the same n.
 @cache
 def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of 1..n_total, colex order (rank order)."""
@@ -67,7 +68,7 @@ def intersection_class(a: Sequence[int], b: Sequence[int]) -> int:
     return len(set(ta) & set(tb))
 
 
-@cache
+@lru_cache(maxsize=1)
 def build_incidence_matrix(n: int) -> RationalMatrix:
     """0/1 matrix with rows the codim-2 faces and columns the edges, entry 1
     when the edge lies in the face. Square of side C(n+1,2)."""

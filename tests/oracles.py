@@ -77,6 +77,15 @@ def charpoly_by_cofactors(m: RationalMatrix) -> Polynomial:
     return poly_det(entries)
 
 
+def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
+    """Horner evaluation of p with the square matrix m substituted for x."""
+    identity = RationalMatrix.identity(m.nrows)
+    acc = identity.scaled(p.coeffs[-1])
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc @ m + identity.scaled(c)
+    return acc
+
+
 def to_sympy(m: RationalMatrix) -> sympy.Matrix:
     return sympy.Matrix(
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows]

@@ -11,7 +11,12 @@ from math import comb
 
 from facevol.gelfand import check_commutative, gelfand_report
 from facevol.geometry import EdgeLengthAssignment, squared_volume, unit_regular_squared_volume
-from facevol.jacobian import fd_crosscheck, independence_certificate, scaled_jacobian_at_regular
+from facevol.jacobian import (
+    fd_crosscheck,
+    independence_certificate,
+    jacobian_squared_map,
+    scaled_jacobian_at_regular,
+)
 from facevol.linalg import char_poly, det_fraction_free, poly_divides
 from facevol.spectral import (
     build_gram,
@@ -160,11 +165,13 @@ def test_criterion_8_geometry_sanity():
     degenerate = EdgeLengthAssignment.regular(3).with_squared((1, 2), Fraction(4))
     ok &= squared_volume(degenerate, (1, 2, 3)) == 0
     for n in (4, 5):
-        dev = fd_crosscheck(EdgeLengthAssignment.regular(n), 1e-4)
+        E = EdgeLengthAssignment.regular(n)
+        dev = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
         ok &= dev <= 1e-5
     for n in (4, 5):
         E = EdgeLengthAssignment.regular(n)
-        coarse = fd_crosscheck(E, 2e-2)
-        fine = fd_crosscheck(E, 1e-2)
+        jac = jacobian_squared_map(E)
+        coarse = fd_crosscheck(E, jac, 2e-2)
+        fine = fd_crosscheck(E, jac, 1e-2)
         ok &= 3.0 < coarse / fine < 5.0  # second-order step convergence
     report(8, "regular volumes exact; degenerate zero; FD within 1e-5", ok)

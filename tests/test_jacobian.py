@@ -171,18 +171,23 @@ class TestIndependenceCertificate:
 class TestFdCrosscheck:
     @pytest.mark.parametrize("n", [4, 5])
     def test_small_deviation_at_default_step(self, n):
-        dev = fd_crosscheck(EdgeLengthAssignment.regular(n), 1e-4)
+        E = EdgeLengthAssignment.regular(n)
+        dev = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
         assert dev <= 1e-5
 
     def test_second_order_convergence(self):
         E = EdgeLengthAssignment.regular(4)
-        coarse = fd_crosscheck(E, 2e-2)
-        fine = fd_crosscheck(E, 1e-2)
+        jac = jacobian_squared_map(E)
+        coarse = fd_crosscheck(E, jac, 2e-2)
+        fine = fd_crosscheck(E, jac, 1e-2)
         assert 3.0 < coarse / fine < 5.0
 
     def test_rejects_bad_input(self):
         E = EdgeLengthAssignment.regular(4)
+        jac = jacobian_squared_map(E)
         with pytest.raises(ValueError):
-            fd_crosscheck(E, 0.0)
+            fd_crosscheck(E, jac, 0.0)
         with pytest.raises(ValueError):
-            fd_crosscheck(E.with_squared((1, 2), Fraction(100)), 1e-4)
+            fd_crosscheck(E.with_squared((1, 2), Fraction(100)), jac, 1e-4)
+        with pytest.raises(ValueError):
+            fd_crosscheck(E, jacobian_squared_map(EdgeLengthAssignment.regular(5)), 1e-4)

@@ -1,10 +1,14 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import facevol.report as report_mod
 from facevol.cli import main
+from facevol.exceptions import IntegrityError
+from facevol.jacobian import jacobian_squared_map
+from facevol.linalg import rank
 from facevol.report import (
     RunConfig,
     parse_report,
@@ -55,12 +59,53 @@ class TestPipeline:
         with pytest.raises(ValueError):
             verify_single(4, samples=-1)
 
+    def test_gelfand_failure_keeps_the_check_list(self, report_n4, monkeypatch):
+        def broken(n):
+            raise IntegrityError(f"lifted eigenvectors are dependent at n={n}")
+
+        monkeypatch.setattr("facevol.report.gelfand_report", broken)
+        rep = verify_single(4, samples=0, seed=0)
+        assert [c.name for c in rep.checks] == [c.name for c in report_n4.checks]
+        by_name = {c.name: c for c in rep.checks}
+        for name in ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching"):
+            assert by_name[name].status == "fail"
+            assert by_name[name].details == "lifted eigenvectors are dependent at n=4"
+        assert rep.gelfand is None
+        assert main(["--n", "4", "--samples", "0"]) == 1
+
     def test_integrity_failure_is_recorded_not_raised(self, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)
         rep = verify_single(4, samples=0, seed=0)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["divisor_char_poly_divides"].status == "fail"
         assert not rep.overall_pass
+
+
+class TestComputeOnce:
+    def test_no_call_repeats_its_arguments(self, monkeypatch):
+        """Within one report, rank and the Jacobian never get equal arguments
+        twice; the memos start empty so every artefact is built here."""
+        calls = {rank: [], jacobian_squared_map: []}
+
+        def recorder(fn):
+            return lambda *args: calls[fn].append(args) or fn(*args)
+
+        wrapped = {fn: recorder(fn) for fn in calls}
+        for mod in list(sys.modules.values()):
+            name = getattr(mod, "__name__", "")
+            if name != "facevol" and not name.startswith("facevol."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+                for fn, wrapper in wrapped.items():
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        verify_single(5, samples=2, seed=3)
+        for fn, seen in calls.items():
+            assert seen
+            repeats = [args for i, args in enumerate(seen) if args in seen[:i]]
+            assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
 
 
 class TestSerialization:
