@@ -43,6 +43,7 @@ from .linalg import (
     Polynomial,
     RationalMatrix,
     char_poly,
+    det_adjugate,
     det_fraction_free,
     eigen_multiplicity,
     exact_sqrt,
@@ -112,6 +113,7 @@ __all__ = [
     "Polynomial",
     "RationalMatrix",
     "char_poly",
+    "det_adjugate",
     "det_fraction_free",
     "eigen_multiplicity",
     "exact_sqrt",

@@ -1,6 +1,7 @@
 """Command line entry point: verify one dimension or a range, write reports.
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 usage or config error.
+Exit codes: 0 all checks pass, 1 some check failed, 2 usage or config error
+(an output file that cannot be written included).
 Set FACEVOL_LOG=INFO (or DEBUG) for progress logging on stderr.
 """
 
@@ -116,22 +117,23 @@ def main(argv: list[str] | None = None) -> int:
 
     reports = run_verification(config)
 
-    ext = "json" if config.fmt == "json" else "md"
     if config.output is None:
         sys.stdout.write(serialize_reports(reports, config.fmt))
-    elif single_mode:
-        path = Path(config.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(serialize_report(reports[0], config.fmt))
-        log.info("wrote %s", path)
     else:
-        # range mode always writes one file per n, even for a 1-element range
-        outdir = Path(config.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for r in reports:
-            path = outdir / f"verify_n{r.n}.{ext}"
-            path.write_text(serialize_report(r, config.fmt))
-            log.info("wrote %s", path)
+        if single_mode:
+            files = {Path(config.output): reports[0]}
+        else:
+            # range mode always writes one file per n, even for a 1-element range
+            ext = "json" if config.fmt == "json" else "md"
+            files = {Path(config.output) / f"verify_n{r.n}.{ext}": r for r in reports}
+        try:
+            for path, r in files.items():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(serialize_report(r, config.fmt))
+                log.info("wrote %s", path)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_EXIT
 
     return 0 if all(r.overall_pass for r in reports) else 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .claims import (
@@ -111,6 +112,7 @@ class GelfandReport:
     discrepancies: tuple[ClaimRecord, ...]
 
 
+@lru_cache(maxsize=1)
 def gelfand_report(n: int) -> GelfandReport:
     """Assemble the commutativity, dimension, and eigenvector-matching checks
     into one report, flagging the claimed dimension triple if it fails."""

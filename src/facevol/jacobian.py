@@ -2,6 +2,14 @@
 lengths, the collapse of the Jacobian to the incidence matrix at the regular
 point, and full-rank certificates for algebraic independence.
 
+The Jacobian is built one face at a time: the face's squared volume is a
+constant times the determinant of its Cayley-Menger matrix C, and by Jacobi's
+formula d det C / d C_ab = adj(C)_ba, so one exact adjugate of C gives the
+partials for every edge of the face at once. The squared length of edge (a, b)
+sits in the two symmetric slots (a, b) and (b, a), which doubles the partial.
+:func:`d_sqvol_d_sqlen` computes a single partial from one cofactor instead;
+it is defined at degenerate points too.
+
 Working in squared coordinates keeps every derivative rational. Full rank of
 the squared-coordinate Jacobian at a nondegenerate point transfers to the
 unsquared volume map because the two differ by diagonal scalings that are
@@ -16,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -30,7 +39,7 @@ from .geometry import (
     squared_volume,
     unit_regular_squared_volume,
 )
-from .linalg import RationalMatrix, det_fraction_free, rank
+from .linalg import RationalMatrix, det_adjugate, det_fraction_free, rank
 from .subsets import subsets_colex, validate_subset
 
 RANK_TRANSFER_NOTE = (
@@ -77,19 +86,20 @@ def d_sqvol_d_sqlen(
 def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     """Matrix of all squared-volume partials, faces (rows) and edges (columns)
     in colex order. Its support equals the incidence matrix."""
+    # Nondegenerate means every face has nonzero volume, so every
+    # Cayley-Menger matrix below is nonsingular.
     if not is_nondegenerate(E):
         raise ValueError("degenerate edge-length assignment")
-    faces = subsets_colex(E.n + 1, E.n - 1)
-    edges = subsets_colex(E.n + 1, 2)
+    column = {e: j for j, e in enumerate(subsets_colex(E.n + 1, 2))}
+    const = 2 * _cm_constant(E.n - 2)
     rows = []
-    for f in faces:
-        fs = set(f)
-        rows.append(
-            [
-                d_sqvol_d_sqlen(E, f, e) if fs.issuperset(e) else Fraction(0)
-                for e in edges
-            ]
-        )
+    for f in subsets_colex(E.n + 1, E.n - 1):
+        _, adj = det_adjugate(cayley_menger_matrix(E, f))
+        row = [Fraction(0)] * len(column)
+        # Slot 0 is the border row/column, so vertex f[i] sits at slot i + 1.
+        for (a, u), (b, w) in combinations(enumerate(f, start=1), 2):
+            row[column[(u, w)]] = const * adj[b, a]
+        rows.append(row)
     return RationalMatrix(rows)
 
 
@@ -147,19 +157,25 @@ def independence_certificate(
     n: int, extra_samples: int = 0, seed: int = 0
 ) -> IndependenceCertificate:
     """Certify full rank of the squared-volume Jacobian at the regular point
-    (and optionally at seeded random nondegenerate points)."""
+    (and optionally at seeded random nondegenerate points). Raises
+    IntegrityError if all draws for some sample point are degenerate."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if extra_samples < 0:
         raise ValueError("extra_samples must be >= 0")
     points = [EdgeLengthAssignment.regular(n)]
     rng = random.Random(f"{seed}:{n}")
-    for _ in range(extra_samples):
+    for index in range(extra_samples):
         for _ in range(_SAMPLE_RETRIES):
             cand = _sample_point(n, rng)
             if is_nondegenerate(cand):
                 points.append(cand)
                 break
+        else:
+            raise IntegrityError(
+                f"sample {index} at n={n}, seed={seed}: all {_SAMPLE_RETRIES} "
+                "draws were degenerate"
+            )
     jacobians = [regular_jacobian(n)] + [jacobian_squared_map(p) for p in points[1:]]
     ranks = tuple(_verified_rank(jac) for jac in jacobians)
     full = comb(n + 1, 2)

@@ -2,18 +2,27 @@
 
 Scalars are stdlib `fractions.Fraction` (always lowest terms, positive
 denominator), matrices are immutable dense arrays of them. Everything here is
-exact; there is no floating-point code path in this module.
+exact; there is no floating-point or modular code path in this module.
 
-Determinants use Bareiss fraction-free elimination on denominator-cleared
-integer rows, so intermediate values stay integers of bounded size instead of
-rationals with growing gcd cost. Characteristic polynomials use the
-Faddeev-LeVerrier recurrence on the denominator-cleared integer matrix.
+The kernels clear denominators first and then work on Python integers:
+
+- products clear them per row of the left factor and per column of the right
+  factor, and divide once per entry;
+- determinants and ranks use one-step Bareiss fraction-free elimination on
+  integer rows (row scaling changes neither the rank nor, after dividing by
+  the row multipliers, the determinant), so intermediate values stay integer
+  minors of bounded size instead of rationals with growing gcd cost;
+- the adjugate uses the fraction-free Gauss-Jordan form of the same
+  elimination on ``[d*A | I]``, d the lcm of the denominators;
+- characteristic polynomials use the Faddeev-LeVerrier recurrence on the
+  denominator-cleared integer matrix.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -90,9 +99,13 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
-        cols = list(zip(*other.rows))
+        left = [_cleared(row) for row in self.rows]
+        right = [_cleared(col) for col in zip(*other.rows)]
         return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
+            [
+                [Fraction(sum(map(mul, a, b)), da * db) for b, db in right]
+                for a, da in left
+            ]
         )
 
     def _check_same_shape(self, other: "RationalMatrix") -> None:
@@ -217,69 +230,115 @@ class Polynomial:
         return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
 
 
-def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], Fraction]:
+def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers d*x and d, the lcm of the denominators of xs."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _common_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
+    """The integer rows of d*m and d, the lcm of all denominators of m."""
+    d = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.rows], d
+
+
+def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
     """Clear denominators row by row; returns integer rows and the product of
     the row multipliers (so det(m) = det(int rows) / product)."""
     rows = []
-    scale = Fraction(1)
+    scale = 1
     for row in m.rows:
-        mult = math.lcm(*(x.denominator for x in row))
+        ints, mult = _cleared(row)
+        rows.append(ints)
         scale *= mult
-        rows.append([int(x * mult) for x in row])
     return rows, scale
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """One-step Bareiss elimination of integer rows, in place, to row echelon
+    form; columns without a pivot are skipped. Returns the rank and the sign
+    of the row permutation. Every entry stays an integer minor of the input,
+    and for a nonsingular square input the last pivot is sign * det."""
+    nr, nc = len(a), len(a[0])
+    r, sign, prev = 0, 1, 1
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pivot = a[r][c]
+        tail = a[r][c + 1 :]
+        for i in range(r + 1, nr):
+            row = a[i]
+            f = row[c]
+            # Sylvester's identity guarantees these divisions are exact.
+            if f:
+                rest = zip(row[c + 1 :], tail)
+                row[c:] = [0] + [(x * pivot - f * y) // prev for x, y in rest]
+            elif pivot != prev:
+                row[c + 1 :] = [x * pivot // prev for x in row[c + 1 :]]
+        prev = pivot
+        r += 1
+        if r == nr:
+            break
+    return r, sign
 
 
 def det_fraction_free(m: RationalMatrix) -> Fraction:
     """Exact determinant via Bareiss one-step fraction-free elimination."""
     if m.nrows != m.ncols:
         raise ValueError("determinant needs a square matrix")
-    n = m.nrows
     a, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        rowk = a[k]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            aik = rowi[k]
-            for j in range(k + 1, n):
-                # Sylvester's identity guarantees this division is exact.
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    r, sign = _bareiss(a)
+    if r < m.nrows:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale)
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    a = [list(row) for row in m.rows]
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+    """Exact rank over the rationals by Bareiss elimination of the integer
+    rows; clearing denominators row by row does not change the rank."""
+    return _bareiss(_integer_rows(m)[0])[0]
+
+
+def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
+    """Determinant and adjugate of a nonsingular square matrix by
+    fraction-free Gauss-Jordan elimination on ``[d*m | I]``, d the lcm of the
+    denominators. Raises ValueError when m is singular.
+
+    Each step eliminates the pivot column above and below the pivot row and
+    divides by the previous pivot, exactly, so the left block ends as p*I and
+    the right block as p*(d*m)^-1, with p = sign * det(d*m)."""
+    if m.nrows != m.ncols:
+        raise ValueError("adjugate needs a square matrix")
+    k = m.nrows
+    a, d = _common_rows(m)
+    aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for c in range(k):
+        piv = next((i for i in range(c, k) if aug[i][c]), None)
         if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        inv = 1 / prow[c]
-        for i in range(r + 1, nr):
-            f = a[i][c]
+            raise ValueError("matrix is singular")
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            sign = -sign
+        prow = aug[c]
+        pivot = prow[c]
+        for i in range(k):
+            if i == c:
+                continue
+            f = aug[i][c]
             if f:
-                f *= inv
-                arow = a[i]
-                for j in range(c, nc):
-                    arow[j] -= f * prow[j]
-        r += 1
-        if r == nr:
-            break
-    return r
+                aug[i] = [(x * pivot - f * y) // prev for x, y in zip(aug[i], prow)]
+            elif pivot != prev:
+                aug[i] = [x * pivot // prev for x in aug[i]]
+        prev = pivot
+    # adj(d*m) = d^(k-1) adj(m) and det(d*m) = d^k det(m).
+    scale = d ** (k - 1)
+    adj = RationalMatrix([[Fraction(sign * x, scale) for x in row[k:]] for row in aug])
+    return Fraction(sign * prev, scale * d), adj
 
 
 def eigen_multiplicity(m: RationalMatrix, lam: Fraction | int) -> int:
@@ -320,8 +379,7 @@ def char_poly(m: RationalMatrix) -> Polynomial:
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
-    d = math.lcm(*(x.denominator for row in m.rows for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in m.rows]
+    a, d = _common_rows(m)
     coeffs = _charpoly_ints(a, n)
     return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs))
 

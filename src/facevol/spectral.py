@@ -144,6 +144,7 @@ def divisor_matrix(n: int) -> RationalMatrix:
     return dq.quotient
 
 
+@lru_cache(maxsize=1)
 def divisor_divides(n: int) -> bool:
     """Exact divisibility of the Gram characteristic polynomial by the
     divisor's characteristic polynomial."""

@@ -49,6 +49,17 @@ def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def matmul_by_definition(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """Entry (i, j) is the Fraction sum of a[i, t] * b[t, j] over t."""
+    inner = range(a.ncols)
+    return RationalMatrix(
+        [
+            [sum((a[i, t] * b[t, j] for t in inner), Fraction(0)) for j in range(b.ncols)]
+            for i in range(a.nrows)
+        ]
+    )
+
+
 def charpoly_by_cofactors(m: RationalMatrix) -> Polynomial:
     """det(x*I - m) expanded over polynomial entries: an elimination-free
     second route to the characteristic polynomial."""

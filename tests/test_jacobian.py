@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facevol.geometry import EdgeLengthAssignment, squared_volume
+import facevol.jacobian as jacobian_mod
+from facevol.exceptions import IntegrityError
+from facevol.geometry import EdgeLengthAssignment, is_nondegenerate, squared_volume
 from facevol.jacobian import (
     d_sqvol_d_sqlen,
     fd_crosscheck,
@@ -111,6 +113,19 @@ class TestJacobianMatrix:
         with pytest.raises(ValueError):
             jacobian_squared_map(E)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_equals_entrywise_partials(self, n):
+        """The per-face adjugate Jacobian against one cofactor per entry."""
+        for E in (EdgeLengthAssignment.regular(n), seeded_point(n, 1), seeded_point(n, 2)):
+            assert is_nondegenerate(E)
+            expected = RationalMatrix(
+                [
+                    [d_sqvol_d_sqlen(E, f, e) for e in subsets_colex(n + 1, 2)]
+                    for f in subsets_colex(n + 1, n - 1)
+                ]
+            )
+            assert jacobian_squared_map(E) == expected
+
 
 class TestScaledJacobian:
     def test_entry_arithmetic_n4(self):
@@ -161,6 +176,18 @@ class TestIndependenceCertificate:
         allowed = {Fraction(16 + k, 16) for k in range(-2, 3)}
         for point in cert.points[1:]:
             assert set(point.squared_lengths.values()) <= allowed
+
+    def test_sample_shortfall_raises(self, monkeypatch):
+        """A sample whose every draw is degenerate fails the certificate
+        instead of being dropped."""
+        monkeypatch.setattr(
+            jacobian_mod,
+            "is_nondegenerate",
+            lambda E: E == EdgeLengthAssignment.regular(E.n),
+        )
+        with pytest.raises(IntegrityError, match=r"sample 0 at n=4, seed=42"):
+            independence_certificate(4, extra_samples=3, seed=42)
+        assert independence_certificate(4, extra_samples=0, seed=42).ranks == (10,)
 
     def test_rank_agrees_with_sympy(self):
         cert = independence_certificate(4, extra_samples=1, seed=5)

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from facevol.linalg import (
     Polynomial,
     RationalMatrix,
     char_poly,
+    det_adjugate,
     det_fraction_free,
     eigen_multiplicity,
     exact_sqrt,
@@ -23,6 +24,7 @@ from oracles import (
     charpoly_by_cofactors,
     cofactor_det,
     evaluate_at_matrix,
+    matmul_by_definition,
     rationals,
     square_matrices,
     sympy_rank,
@@ -71,6 +73,43 @@ class TestDeterminant:
         a = RationalMatrix(data.draw(entries))
         b = RationalMatrix(data.draw(entries))
         assert det_fraction_free(a @ b) == det_fraction_free(a) * det_fraction_free(b)
+
+
+def rational_matrices(nrows, ncols):
+    return st.lists(
+        st.lists(rationals(), min_size=ncols, max_size=ncols),
+        min_size=nrows,
+        max_size=nrows,
+    ).map(RationalMatrix)
+
+
+class TestAdjugate:
+    def test_2x2(self):
+        det, adj = det_adjugate(RationalMatrix([[1, 2], [3, 4]]))
+        assert det == -2
+        assert adj == RationalMatrix([[4, -2], [-3, 1]])
+
+    @given(square_matrices(max_side=4))
+    def test_adjugate_identity(self, m):
+        """A adj(A) = adj(A) A = det(A) I, with det(A) by cofactor expansion
+        and the products by their entrywise definition."""
+        expected = cofactor_det([list(r) for r in m.rows])
+        assume(expected != 0)
+        det, adj = det_adjugate(m)
+        assert det == expected
+        scalar = RationalMatrix.identity(m.nrows).scaled(expected)
+        assert matmul_by_definition(m, adj) == scalar
+        assert matmul_by_definition(adj, m) == scalar
+
+    @given(st.integers(2, 4).flatmap(lambda k: rational_matrices(k, k)))
+    def test_singular_rejected(self, m):
+        singular = RationalMatrix(m.rows[:-1] + (m.rows[0],))
+        with pytest.raises(ValueError):
+            det_adjugate(singular)
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError):
+            det_adjugate(RationalMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
 class TestCharPoly:
@@ -213,6 +252,17 @@ class TestMatrixBasics:
     def test_constructor_rejects_empty(self):
         with pytest.raises(ValueError):
             RationalMatrix([])
+
+    @given(
+        st.tuples(*[st.integers(1, 4)] * 3).flatmap(
+            lambda s: st.tuples(
+                rational_matrices(s[0], s[1]), rational_matrices(s[1], s[2])
+            )
+        )
+    )
+    def test_matmul_agrees_with_definition(self, ab):
+        a, b = ab
+        assert a @ b == matmul_by_definition(a, b)
 
     def test_matmul_shape_check(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,10 @@ import pytest
 import facevol.report as report_mod
 from facevol.cli import main
 from facevol.exceptions import IntegrityError
+from facevol.gelfand import check_commutative
+from facevol.geometry import EdgeLengthAssignment
 from facevol.jacobian import jacobian_squared_map
-from facevol.linalg import rank
+from facevol.linalg import char_poly, rank
 from facevol.report import (
     RunConfig,
     parse_report,
@@ -73,6 +75,20 @@ class TestPipeline:
         assert rep.gelfand is None
         assert main(["--n", "4", "--samples", "0"]) == 1
 
+    def test_sample_shortfall_fails_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(
+            "facevol.jacobian.is_nondegenerate",
+            lambda E: E == EdgeLengthAssignment.regular(E.n),
+        )
+        rep = verify_single(4, samples=3, seed=42)
+        by_name = {c.name: c for c in rep.checks}
+        assert by_name["independence_certificate"].status == "fail"
+        assert "n=4, seed=42" in by_name["independence_certificate"].details
+        assert [c.name for c in rep.checks if c.status == "fail"] == [
+            "independence_certificate"
+        ]
+        assert main(["--n", "4", "--samples", "1"]) == 1
+
     def test_integrity_failure_is_recorded_not_raised(self, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)
         rep = verify_single(4, samples=0, seed=0)
@@ -81,30 +97,49 @@ class TestPipeline:
         assert not rep.overall_pass
 
 
+def record_calls(monkeypatch, fns):
+    """Empty every facevol memo and record the arguments of each call to
+    the given functions, wherever facevol imported them."""
+    calls = {fn: [] for fn in fns}
+
+    def recorder(fn):
+        return lambda *args: calls[fn].append(args) or fn(*args)
+
+    wrapped = {fn: recorder(fn) for fn in calls}
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name != "facevol" and not name.startswith("facevol."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+            for fn, wrapper in wrapped.items():
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
 class TestComputeOnce:
     def test_no_call_repeats_its_arguments(self, monkeypatch):
         """Within one report, rank and the Jacobian never get equal arguments
         twice; the memos start empty so every artefact is built here."""
-        calls = {rank: [], jacobian_squared_map: []}
-
-        def recorder(fn):
-            return lambda *args: calls[fn].append(args) or fn(*args)
-
-        wrapped = {fn: recorder(fn) for fn in calls}
-        for mod in list(sys.modules.values()):
-            name = getattr(mod, "__name__", "")
-            if name != "facevol" and not name.startswith("facevol."):
-                continue
-            for attr, value in list(vars(mod).items()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-                for fn, wrapper in wrapped.items():
-                    if value is fn:
-                        monkeypatch.setattr(mod, attr, wrapper)
+        calls = record_calls(monkeypatch, (rank, jacobian_squared_map))
         verify_single(5, samples=2, seed=3)
         for fn, seen in calls.items():
             assert seen
             repeats = [args for i, args in enumerate(seen) if args in seen[:i]]
+            assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
+
+    def test_second_report_of_an_n_repeats_no_spectral_work(self, monkeypatch):
+        """A second report of the same n with another seed gives char_poly and
+        check_commutative no arguments that the first report gave them."""
+        calls = record_calls(monkeypatch, (char_poly, check_commutative))
+        verify_single(5, samples=2, seed=3)
+        first = {fn: list(seen) for fn, seen in calls.items()}
+        verify_single(5, samples=2, seed=4)
+        for fn, seen in calls.items():
+            assert first[fn]
+            repeats = [args for args in seen[len(first[fn]) :] if args in first[fn]]
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
 
 
@@ -238,6 +273,14 @@ class TestCli:
             "verify_n4.json",
             "verify_n5.json",
         ]
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        for target in (["--n", "4"], ["--n-range", "4:4"]):
+            args = target + ["--samples", "0", "--output", str(blocker / "out")]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_single_element_range_still_writes_dir(self, tmp_path):
         outdir = tmp_path / "reports"
