@@ -57,8 +57,6 @@ from .report import (
     RunConfig,
     VerificationReport,
     parse_report,
-    report_from_dict,
-    report_to_dict,
     run_verification,
     serialize_report,
     serialize_reports,
@@ -125,8 +123,6 @@ __all__ = [
     "RunConfig",
     "VerificationReport",
     "parse_report",
-    "report_from_dict",
-    "report_to_dict",
     "run_verification",
     "serialize_report",
     "serialize_reports",

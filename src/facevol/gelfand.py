@@ -10,7 +10,7 @@ eigenfunction in each eigenspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -108,7 +108,9 @@ class GelfandReport:
     dims_match_claimed: bool
     claimed_dims_sum_matches: bool
     distinct_eigenvalues: int
-    matches: tuple[EigenvectorMatch, ...]
+    matches: tuple[EigenvectorMatch, ...] = field(
+        metadata={"json": "eigenvector_matching"}
+    )
     discrepancies: tuple[ClaimRecord, ...]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import RationalMatrix, det_fraction_free, format_rational, parse_rational
+from .linalg import RationalMatrix, det_fraction_free
 from .subsets import MIN_DIMENSION, subsets_colex, validate_subset
 
 
@@ -56,23 +56,6 @@ class EdgeLengthAssignment:
         new = dict(self.squared_lengths)
         new[e] = Fraction(value)
         return EdgeLengthAssignment(self.n, new)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "squared_lengths": {
-                f"{i},{j}": format_rational(self.squared_lengths[(i, j)])
-                for i, j in subsets_colex(self.n + 1, 2)
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EdgeLengthAssignment":
-        sq = {}
-        for key, val in d["squared_lengths"].items():
-            i, j = (int(p) for p in key.split(","))
-            sq[(i, j)] = parse_rational(val)
-        return cls(int(d["n"]), sq)
 
 
 def cayley_menger_matrix(E: EdgeLengthAssignment, face: Sequence[int]) -> RationalMatrix:

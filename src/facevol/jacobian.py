@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -125,12 +125,12 @@ class IndependenceCertificate:
     at sampled nondegenerate rational points."""
 
     n: int
-    points: tuple[EdgeLengthAssignment, ...]
+    full_rank: int
     ranks: tuple[int, ...]
     scaling_constant_squared: Fraction
     verdict: bool
-    full_rank: int
-    rank_transfer_note: str = field(default=RANK_TRANSFER_NOTE)
+    rank_transfer_note: str
+    points: tuple[EdgeLengthAssignment, ...]
 
 
 def _sample_point(n: int, rng: random.Random) -> EdgeLengthAssignment:
@@ -151,6 +151,12 @@ def _verified_rank(jac: RationalMatrix) -> int:
     if rank(reversed_jac) != r:
         raise IntegrityError("rank witness failed re-verification")
     return r
+
+
+@lru_cache(maxsize=1)
+def regular_rank(n: int) -> int:
+    """The verified rank of the Jacobian at the unit regular point."""
+    return _verified_rank(regular_jacobian(n))
 
 
 def independence_certificate(
@@ -176,17 +182,19 @@ def independence_certificate(
                 f"sample {index} at n={n}, seed={seed}: all {_SAMPLE_RETRIES} "
                 "draws were degenerate"
             )
-    jacobians = [regular_jacobian(n)] + [jacobian_squared_map(p) for p in points[1:]]
-    ranks = tuple(_verified_rank(jac) for jac in jacobians)
+    ranks = (regular_rank(n),) + tuple(
+        _verified_rank(jacobian_squared_map(p)) for p in points[1:]
+    )
     full = comb(n + 1, 2)
     f2 = unit_regular_squared_volume(n - 2)
     return IndependenceCertificate(
         n=n,
-        points=tuple(points),
+        full_rank=full,
         ranks=ranks,
         scaling_constant_squared=4 * f2 / Fraction(n - 1) ** 2,
         verdict=any(r == full for r in ranks),
-        full_rank=full,
+        rank_transfer_note=RANK_TRANSFER_NOTE,
+        points=tuple(points),
     )
 
 

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import comb
-from typing import Callable
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .claims import ClaimRecord, claimed_incidence_det_abs
 from .exceptions import IntegrityError
-from .gelfand import EigenvectorMatch, GelfandReport, gelfand_report
+from .gelfand import GelfandReport, gelfand_report
 from .geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
@@ -117,8 +119,9 @@ def _spectrum_n3() -> SpectrumCertificate:
 
 
 # Each check reads the report's fields (n, samples, seed, ...) from one dict,
-# stores the certificate it produces there, and returns (ok, details). An
-# IntegrityError it raises is recorded as a failure of that check.
+# stores the certificate it produces there, and returns (ok, details). Any
+# exception it raises is recorded as a failure of that check: an
+# IntegrityError by its message, any other as "<TypeName>: <message>".
 
 
 def _geometry_sanity(r: dict) -> tuple[bool, str]:
@@ -203,9 +206,15 @@ def _eigenvector_matching(r: dict) -> tuple[bool, str]:
     return True, "all divisor eigenvectors lift exactly"
 
 
+@lru_cache(maxsize=1)
+def _regular_fd_deviation(n: int) -> float:
+    """The FD cross-check at the unit regular point; depends on n only."""
+    regular = EdgeLengthAssignment.regular(n)
+    return fd_crosscheck(regular, regular_jacobian(n), FD_STEP)
+
+
 def _fd(r: dict) -> tuple[bool, str]:
-    regular = EdgeLengthAssignment.regular(r["n"])
-    dev = fd_crosscheck(regular, regular_jacobian(r["n"]), FD_STEP)
+    dev = _regular_fd_deviation(r["n"])
     return dev <= FD_TOLERANCE, f"max deviation {dev:.3e} at step {FD_STEP:g}"
 
 
@@ -253,6 +262,9 @@ def verify_single(n: int, samples: int = 3, seed: int = 42) -> VerificationRepor
             ok, details = check(r)
         except IntegrityError as exc:
             checks.append(CheckResult(name, "fail", str(exc)))
+        except Exception as exc:  # a fault in one check must not stop the rest
+            log.exception("n=%d %s raised", n, name)
+            checks.append(CheckResult(name, "fail", f"{type(exc).__name__}: {exc}"))
         else:
             checks.append(CheckResult(name, "pass" if ok else "fail", details))
         log.info("n=%d %s: %s", n, name, checks[-1].status)
@@ -301,152 +313,60 @@ def run_verification(config: RunConfig) -> list[VerificationReport]:
     return [_verify_args(w) for w in work]
 
 
-def _claim_dict(c: ClaimRecord) -> dict:
-    return {
-        "claim": c.claim,
-        "claimed": c.claimed,
-        "computed": c.computed,
-        "matches": c.matches,
-    }
+# The JSON codec. The dataclasses are the schema: a dataclass is an object
+# with one key per field in field order (``metadata["json"]`` renames a key),
+# a Fraction is a "p/q" string, a tuple is a list, and a map keyed by vertex
+# tuples (the edge lengths) has "i,j" keys.
 
 
-def report_to_dict(r: VerificationReport) -> dict:
-    spectrum = None
-    if r.spectrum is not None:
-        spectrum = {
-            "n": r.spectrum.n,
-            "eigenvalues": [
-                {
-                    "value": format_rational(w.value),
-                    "multiplicity": w.multiplicity,
-                    "rank_witness": w.rank_witness,
-                }
-                for w in r.spectrum.eigenvalues
-            ],
-            "singular_values": [
-                {"square": format_rational(s.square), "multiplicity": s.multiplicity}
-                for s in r.spectrum.singular_values
-            ],
-            "det_m_abs": format_rational(r.spectrum.det_m_abs),
-            "discrepancies": [_claim_dict(c) for c in r.spectrum.discrepancies],
-        }
-    independence = None
-    if r.independence is not None:
-        independence = {
-            "n": r.independence.n,
-            "full_rank": r.independence.full_rank,
-            "ranks": list(r.independence.ranks),
-            "scaling_constant_squared": format_rational(
-                r.independence.scaling_constant_squared
-            ),
-            "verdict": r.independence.verdict,
-            "rank_transfer_note": r.independence.rank_transfer_note,
-            "points": [p.to_json_dict() for p in r.independence.points],
-        }
-    gelfand = None
-    if r.gelfand is not None:
-        gelfand = {
-            "n": r.gelfand.n,
-            "commutative": r.gelfand.commutative,
-            "eigenspace_dims": list(r.gelfand.eigenspace_dims),
-            "claimed_dims": list(r.gelfand.claimed_dims),
-            "dims_match_claimed": r.gelfand.dims_match_claimed,
-            "claimed_dims_sum_matches": r.gelfand.claimed_dims_sum_matches,
-            "distinct_eigenvalues": r.gelfand.distinct_eigenvalues,
-            "eigenvector_matching": [
-                {
-                    "vector": [format_rational(x) for x in m.vector],
-                    "eigenvalue": format_rational(m.eigenvalue),
-                    "multiplicity": m.multiplicity,
-                }
-                for m in r.gelfand.matches
-            ],
-            "discrepancies": [_claim_dict(c) for c in r.gelfand.discrepancies],
-        }
-    return {
-        "n": r.n,
-        "seed": r.seed,
-        "samples": r.samples,
-        "tool_version": r.tool_version,
-        "overall_pass": r.overall_pass,
-        "checks": [
-            {"name": c.name, "status": c.status, "details": c.details} for c in r.checks
-        ],
-        "spectrum": spectrum,
-        "independence": independence,
-        "gelfand": gelfand,
-        "discrepancies": [_claim_dict(c) for c in r.discrepancies],
-    }
-
-
-def _claim_from_dict(d: dict) -> ClaimRecord:
-    return ClaimRecord(d["claim"], d["claimed"], d["computed"], d["matches"])
-
-
-def report_from_dict(d: dict) -> VerificationReport:
-    spectrum = None
-    if d["spectrum"] is not None:
-        s = d["spectrum"]
-        spectrum = SpectrumCertificate(
-            n=s["n"],
-            eigenvalues=tuple(
-                EigenvalueWitness(
-                    parse_rational(e["value"]), e["multiplicity"], e["rank_witness"]
-                )
-                for e in s["eigenvalues"]
-            ),
-            singular_values=tuple(
-                SingularValueEntry(parse_rational(v["square"]), v["multiplicity"])
-                for v in s["singular_values"]
-            ),
-            det_m_abs=parse_rational(s["det_m_abs"]),
-            discrepancies=tuple(_claim_from_dict(c) for c in s["discrepancies"]),
-        )
-    independence = None
-    if d["independence"] is not None:
-        i = d["independence"]
-        independence = IndependenceCertificate(
-            n=i["n"],
-            points=tuple(EdgeLengthAssignment.from_json_dict(p) for p in i["points"]),
-            ranks=tuple(i["ranks"]),
-            scaling_constant_squared=parse_rational(i["scaling_constant_squared"]),
-            verdict=i["verdict"],
-            full_rank=i["full_rank"],
-            rank_transfer_note=i["rank_transfer_note"],
-        )
-    gelfand = None
-    if d["gelfand"] is not None:
-        g = d["gelfand"]
-        gelfand = GelfandReport(
-            n=g["n"],
-            commutative=g["commutative"],
-            eigenspace_dims=tuple(g["eigenspace_dims"]),
-            claimed_dims=tuple(g["claimed_dims"]),
-            dims_match_claimed=g["dims_match_claimed"],
-            claimed_dims_sum_matches=g["claimed_dims_sum_matches"],
-            distinct_eigenvalues=g["distinct_eigenvalues"],
-            matches=tuple(
-                EigenvectorMatch(
-                    tuple(parse_rational(x) for x in m["vector"]),
-                    parse_rational(m["eigenvalue"]),
-                    m["multiplicity"],
-                )
-                for m in g["eigenvector_matching"]
-            ),
-            discrepancies=tuple(_claim_from_dict(c) for c in g["discrepancies"]),
-        )
-    return VerificationReport(
-        n=d["n"],
-        seed=d["seed"],
-        samples=d["samples"],
-        tool_version=d["tool_version"],
-        checks=tuple(
-            CheckResult(c["name"], c["status"], c["details"]) for c in d["checks"]
-        ),
-        spectrum=spectrum,
-        independence=independence,
-        gelfand=gelfand,
+@cache  # one entry per report dataclass
+def _fields(cls: type) -> tuple[tuple[str, str, Any], ...]:
+    # (attribute, JSON key, type) per field; get_type_hints re-evaluates the
+    # string annotations on every call, so resolve them once per class.
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls)
     )
+
+
+def _to_json(x: Any) -> Any:
+    if x is None or isinstance(x, (int, str)):  # bool is an int
+        return x
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, tuple):
+        return [_to_json(v) for v in x]
+    if isinstance(x, Mapping):
+        return {",".join(map(str, k)): _to_json(v) for k, v in x.items()}
+    return {key: _to_json(getattr(x, attr)) for attr, key, _ in _fields(type(x))}
+
+
+def _from_json(tp: Any, value: Any) -> Any:
+    if tp in (int, str, bool):
+        if type(value) is not tp:
+            raise TypeError(f"expected {tp.__name__}, got {value!r}")
+        return value
+    if tp is Fraction:
+        return parse_rational(value)
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _from_json(args[0], value)
+    if get_origin(tp) is tuple:  # every tuple in the schema is homogeneous
+        return tuple(_from_json(args[0], v) for v in value)
+    if get_origin(tp) is Mapping:  # also the origin of typing.Mapping
+        return {
+            tuple(map(int, k.split(","))): _from_json(args[1], v) for k, v in value.items()
+        }
+    return tp(**{attr: _from_json(t, value[key]) for attr, key, t in _fields(tp)})
+
+
+def _report_json(r: VerificationReport) -> dict:
+    # The fields plus two derived keys: overall_pass just before the checks
+    # and the report-wide discrepancies last. The decoder ignores both.
+    items = list(_to_json(r).items())
+    at = [key for key, _ in items].index("checks")
+    items[at:at] = [("overall_pass", r.overall_pass)]
+    return dict(items + [("discrepancies", _to_json(r.discrepancies))])
 
 
 def _md_cell(text: str) -> str:
@@ -520,7 +440,7 @@ def _markdown(r: VerificationReport) -> str:
 def serialize_report(r: VerificationReport, fmt: str = "json") -> str:
     """Canonical rendering of one report; JSON round-trips losslessly."""
     if fmt == "json":
-        return json.dumps(report_to_dict(r), indent=2) + "\n"
+        return json.dumps(_report_json(r), indent=2) + "\n"
     if fmt == "markdown":
         return _markdown(r)
     raise ValueError(f"unknown format {fmt!r}")
@@ -531,12 +451,16 @@ def serialize_reports(reports: list[VerificationReport], fmt: str = "json") -> s
     if len(reports) == 1:
         return serialize_report(reports[0], fmt)
     if fmt == "json":
-        return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+        return json.dumps([_report_json(r) for r in reports], indent=2) + "\n"
     if fmt == "markdown":
         return "\n".join(_markdown(r) for r in reports)
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def parse_report(text: str) -> VerificationReport:
-    """Inverse of serialize_report(..., "json")."""
-    return report_from_dict(json.loads(text))
+    """Inverse of serialize_report(..., "json"). Raises ValueError on
+    malformed input."""
+    try:
+        return _from_json(VerificationReport, json.loads(text))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc

@@ -204,15 +204,3 @@ class TestAssignment:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             EdgeLengthAssignment(2, {(1, 2): Fraction(1)})
-
-    def test_json_roundtrip(self):
-        E = perturbed_regular(5, [0, 1, -1, 2, -2, 1])
-        doc = E.to_json_dict()
-        assert doc["n"] == 5
-        assert EdgeLengthAssignment.from_json_dict(doc) == E
-
-    def test_json_format(self):
-        E = EdgeLengthAssignment.regular(3).with_squared((1, 2), Fraction(17, 16))
-        doc = E.to_json_dict()
-        assert doc["squared_lengths"]["1,2"] == "17/16"
-        assert doc["squared_lengths"]["3,4"] == "1"

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,10 @@ from facevol.cli import main
 from facevol.exceptions import IntegrityError
 from facevol.gelfand import check_commutative
 from facevol.geometry import EdgeLengthAssignment
-from facevol.jacobian import jacobian_squared_map
+from facevol.jacobian import fd_crosscheck, jacobian_squared_map
 from facevol.linalg import char_poly, rank
 from facevol.report import (
+    CheckResult,
     RunConfig,
     parse_report,
     run_verification,
@@ -24,6 +26,16 @@ from facevol.report import (
 @pytest.fixture(scope="module")
 def report_n4():
     return verify_single(4, samples=3, seed=42)
+
+
+def break_fd_crosscheck(monkeypatch):
+    """Make the FD cross-check raise ZeroDivisionError, with its memo empty."""
+
+    def broken(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    report_mod._regular_fd_deviation.cache_clear()
+    monkeypatch.setattr(report_mod, "fd_crosscheck", broken)
 
 
 class TestPipeline:
@@ -89,6 +101,22 @@ class TestPipeline:
         ]
         assert main(["--n", "4", "--samples", "1"]) == 1
 
+    def test_unexpected_exception_fails_only_its_check(
+        self, report_n4, monkeypatch, capsys, caplog
+    ):
+        break_fd_crosscheck(monkeypatch)
+        rep = verify_single(4, samples=0, seed=0)
+        assert [c.name for c in rep.checks] == [c.name for c in report_n4.checks]
+        assert [c for c in rep.checks if c.status == "fail"] == [
+            CheckResult("fd_crosscheck", "fail", "ZeroDivisionError: float division by zero")
+        ]
+        assert [r.exc_info[0] for r in caplog.records if r.exc_info] == [ZeroDivisionError]
+        assert main(["--n", "4", "--samples", "0"]) == 1
+        capsys.readouterr()
+        # A range run still reports every n after the failing one.
+        assert main(["--n-range", "4:5", "--samples", "0"]) == 1
+        assert [r["n"] for r in json.loads(capsys.readouterr().out)] == [4, 5]
+
     def test_integrity_failure_is_recorded_not_raised(self, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)
         rep = verify_single(4, samples=0, seed=0)
@@ -131,9 +159,12 @@ class TestComputeOnce:
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
 
     def test_second_report_of_an_n_repeats_no_spectral_work(self, monkeypatch):
-        """A second report of the same n with another seed gives char_poly and
-        check_commutative no arguments that the first report gave them."""
-        calls = record_calls(monkeypatch, (char_poly, check_commutative))
+        """A second report of the same n with another seed gives char_poly,
+        check_commutative, rank and fd_crosscheck no arguments that the first
+        report gave them: the regular-point work is done once per n."""
+        calls = record_calls(
+            monkeypatch, (char_poly, check_commutative, rank, fd_crosscheck)
+        )
         verify_single(5, samples=2, seed=3)
         first = {fn: list(seen) for fn, seen in calls.items()}
         verify_single(5, samples=2, seed=4)
@@ -161,6 +192,36 @@ class TestSerialization:
         ]
         assert doc["spectrum"]["det_m_abs"] == "48"
         assert doc["independence"]["scaling_constant_squared"] == "1/12"
+
+    def test_edge_length_json_roundtrip(self):
+        E = EdgeLengthAssignment.regular(5).with_squared((2, 4), Fraction(15, 16))
+        doc = report_mod._to_json(E)
+        assert doc["n"] == 5
+        assert report_mod._from_json(EdgeLengthAssignment, doc) == E
+
+    def test_edge_length_json_format(self):
+        E = EdgeLengthAssignment.regular(3).with_squared((1, 2), Fraction(17, 16))
+        doc = report_mod._to_json(E)
+        assert list(doc["squared_lengths"])[:2] == ["1,2", "1,3"]
+        assert doc["squared_lengths"]["1,2"] == "17/16"
+        assert doc["squared_lengths"]["3,4"] == "1"
+
+    @pytest.mark.parametrize(
+        "tamper, cause",
+        [
+            (lambda d: d.pop("spectrum"), KeyError),
+            (lambda d: d["spectrum"].update(det_m_abs="x/0"), ValueError),
+            (lambda d: d["independence"]["points"][1]["squared_lengths"].pop("2,4"), ValueError),
+            (lambda d: d["independence"]["ranks"].__setitem__(0, "10"), TypeError),
+        ],
+        ids=["missing_key", "non_rational", "missing_edge", "wrong_leaf_type"],
+    )
+    def test_malformed_report_raises_value_error(self, report_n4, tamper, cause):
+        doc = json.loads(serialize_report(report_n4, "json"))
+        tamper(doc)
+        with pytest.raises(ValueError, match="^malformed report: ") as info:
+            parse_report(json.dumps(doc))
+        assert type(info.value.__cause__) is cause
 
     def test_rationals_serialized_as_strings(self, report_n4):
         doc = json.loads(serialize_report(report_n4, "json"))
@@ -208,6 +269,19 @@ class TestGolden:
         for fmt, ext in (("json", "json"), ("markdown", "md")):
             golden = (GOLDEN / f"verify_n{n}.{ext}").read_text()
             assert serialize_report(report, fmt) == golden
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_decode_reencode_is_byte_identical(self, n):
+        golden = (GOLDEN / f"verify_n{n}.json").read_text()
+        assert serialize_report(parse_report(golden), "json") == golden
+
+    def test_failing_report_roundtrips(self, monkeypatch):
+        break_fd_crosscheck(monkeypatch)
+        report = verify_single(4, samples=1, seed=42)
+        assert not report.overall_pass
+        text = serialize_report(report, "json")
+        assert parse_report(text) == report
+        assert serialize_report(parse_report(text), "json") == text
 
 
 class TestRunConfig:
