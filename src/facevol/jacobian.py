@@ -85,7 +85,8 @@ def d_sqvol_d_sqlen(
 
 def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     """Matrix of all squared-volume partials, faces (rows) and edges (columns)
-    in colex order. Its support equals the incidence matrix."""
+    in colex order. Its support equals the incidence matrix. Raises
+    ValueError when E is degenerate."""
     # Nondegenerate means every face has nonzero volume, so every
     # Cayley-Menger matrix below is nonsingular.
     if not is_nondegenerate(E):
@@ -170,21 +171,23 @@ def independence_certificate(
     if extra_samples < 0:
         raise ValueError("extra_samples must be >= 0")
     points = [EdgeLengthAssignment.regular(n)]
+    jacobians = []
     rng = random.Random(f"{seed}:{n}")
     for index in range(extra_samples):
         for _ in range(_SAMPLE_RETRIES):
             cand = _sample_point(n, rng)
-            if is_nondegenerate(cand):
-                points.append(cand)
-                break
+            try:
+                jacobians.append(jacobian_squared_map(cand))
+            except ValueError:  # a degenerate draw; take the next one
+                continue
+            points.append(cand)
+            break
         else:
             raise IntegrityError(
                 f"sample {index} at n={n}, seed={seed}: all {_SAMPLE_RETRIES} "
                 "draws were degenerate"
             )
-    ranks = (regular_rank(n),) + tuple(
-        _verified_rank(jacobian_squared_map(p)) for p in points[1:]
-    )
+    ranks = (regular_rank(n),) + tuple(_verified_rank(jac) for jac in jacobians)
     full = comb(n + 1, 2)
     f2 = unit_regular_squared_volume(n - 2)
     return IndependenceCertificate(

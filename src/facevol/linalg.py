@@ -1,27 +1,26 @@
 """Exact rational linear algebra kernel.
 
-Scalars are stdlib `fractions.Fraction` (always lowest terms, positive
-denominator), matrices are immutable dense arrays of them. Everything here is
-exact; there is no floating-point or modular code path in this module.
+Scalars are stdlib `fractions.Fraction`. A matrix is integer rows ``num`` over
+one positive denominator ``den``, in lowest terms, and every kernel computes on
+those integers directly. Fractions are made only where a value leaves a matrix:
+an entry, the ``rows`` view, a trace, a matrix-vector product or a kernel
+result. Everything here is exact; there is no floating-point or modular code
+path in this module.
 
-The kernels clear denominators first and then work on Python integers:
-
-- products clear them per row of the left factor and per column of the right
-  factor, and divide once per entry;
-- determinants and ranks use one-step Bareiss fraction-free elimination on
-  integer rows (row scaling changes neither the rank nor, after dividing by
-  the row multipliers, the determinant), so intermediate values stay integer
-  minors of bounded size instead of rationals with growing gcd cost;
+- products multiply the integer rows and the denominators;
+- determinants and ranks use one-step Bareiss fraction-free elimination on the
+  integer rows, so intermediate values stay integer minors of bounded size
+  instead of rationals with growing gcd cost;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
-  elimination on ``[d*A | I]``, d the lcm of the denominators;
-- characteristic polynomials use the Faddeev-LeVerrier recurrence on the
-  denominator-cleared integer matrix.
+  elimination on ``[num | I]``;
+- characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,98 +50,110 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
 
 
 class RationalMatrix:
-    """Immutable dense matrix over exact rationals."""
+    """Immutable dense matrix over exact rationals: integer rows ``num`` over
+    one positive denominator ``den``, in lowest terms (the gcd of ``den`` and
+    every entry of ``num`` is 1; the zero matrix has ``den`` 1), so equal
+    matrices have equal fields."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]) -> None:
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = [
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in rows
+        ]
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and one column")
         if any(len(row) != len(data[0]) for row in data):
             raise ValueError("rows have unequal lengths")
-        self.rows = data
-        self.nrows = len(data)
-        self.ncols = len(data[0])
+        # Each entry is in lowest terms, so clearing by the lcm of their
+        # denominators leaves the whole matrix in lowest terms.
+        den = math.lcm(*(x.denominator for row in data for x in row))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
+        self.den, self.nrows, self.ncols = den, len(data), len(data[0])
+
+    @classmethod
+    def _from_ints(cls, num: Iterable[Iterable[int]], den: int) -> "RationalMatrix":
+        """num/den for integer rows and a positive den, in lowest terms."""
+        num = tuple(map(tuple, num))
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        m = cls.__new__(cls)
+        m.num, m.den, m.nrows, m.ncols = num, den, len(num), len(num[0])
+        return m
 
     @classmethod
     def identity(cls, k: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        return cls._from_ints(([int(i == j) for j in range(k)] for i in range(k)), 1)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch: {self!r} vs {other!r}")
+        d = math.lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        pairs = zip(self.num, other.num)
+        return self._from_ints(([a * fa + b * fb for a, b in zip(*p)] for p in pairs), d)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
-        left = [_cleared(row) for row in self.rows]
-        right = [_cleared(col) for col in zip(*other.rows)]
-        return RationalMatrix(
-            [
-                [Fraction(sum(map(mul, a, b)), da * db) for b, db in right]
-                for a, da in left
-            ]
-        )
-
-    def _check_same_shape(self, other: "RationalMatrix") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch: {self!r} vs {other!r}")
+        return self._from_ints(_product(self.num, other.num), self.den * other.den)
 
     def scaled(self, c: Fraction | int) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix([[c * x for x in row] for row in self.rows])
+        p, q = c.numerator, c.denominator
+        return self._from_ints(([p * x for x in row] for row in self.num), q * self.den)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.rows))
+        return self._from_ints(zip(*self.num), self.den)
 
     def mul_vector(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        dv = math.lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (dv // x.denominator) for x in v]
+        den = self.den * dv
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
+        return self.nrows == self.ncols and self.num == tuple(zip(*self.num))
 
     def shifted(self, lam: Fraction | int) -> "RationalMatrix":
         """self - lam * I."""
         if self.nrows != self.ncols:
             raise ValueError("shift needs a square matrix")
-        lam = Fraction(lam)
-        return RationalMatrix(
-            [
-                [x - lam if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(self.rows)
-            ]
-        )
+        p, q = lam.numerator, lam.denominator
+        num = [[q * x for x in row] for row in self.num]
+        for i, row in enumerate(num):
+            row[i] -= p * self.den
+        return self._from_ints(num, q * self.den)
 
 
 class Polynomial:
@@ -230,28 +241,10 @@ class Polynomial:
         return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
 
 
-def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integers d*x and d, the lcm of the denominators of xs."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _common_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
-    """The integer rows of d*m and d, the lcm of all denominators of m."""
-    d = math.lcm(*(x.denominator for row in m.rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m.rows], d
-
-
-def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row; returns integer rows and the product of
-    the row multipliers (so det(m) = det(int rows) / product)."""
-    rows = []
-    scale = 1
-    for row in m.rows:
-        ints, mult = _cleared(row)
-        rows.append(ints)
-        scale *= mult
-    return rows, scale
+def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int]:
@@ -287,35 +280,35 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
 
 
 def det_fraction_free(m: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss one-step fraction-free elimination."""
+    """Exact determinant via Bareiss one-step fraction-free elimination of
+    the integer rows; det(m) = det(num) / den^k."""
     if m.nrows != m.ncols:
         raise ValueError("determinant needs a square matrix")
-    a, scale = _integer_rows(m)
+    a = [list(row) for row in m.num]
     r, sign = _bareiss(a)
     if r < m.nrows:
         return Fraction(0)
-    return Fraction(sign * a[-1][-1], scale)
+    return Fraction(sign * a[-1][-1], m.den**m.nrows)
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals by Bareiss elimination of the integer
-    rows; clearing denominators row by row does not change the rank."""
-    return _bareiss(_integer_rows(m)[0])[0]
+    rows, which have the rank of m."""
+    return _bareiss([list(row) for row in m.num])[0]
 
 
 def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
     """Determinant and adjugate of a nonsingular square matrix by
-    fraction-free Gauss-Jordan elimination on ``[d*m | I]``, d the lcm of the
-    denominators. Raises ValueError when m is singular.
+    fraction-free Gauss-Jordan elimination on ``[num | I]``. Raises
+    ValueError when m is singular.
 
     Each step eliminates the pivot column above and below the pivot row and
     divides by the previous pivot, exactly, so the left block ends as p*I and
-    the right block as p*(d*m)^-1, with p = sign * det(d*m)."""
+    the right block as p*num^-1, with p = sign * det(num)."""
     if m.nrows != m.ncols:
         raise ValueError("adjugate needs a square matrix")
     k = m.nrows
-    a, d = _common_rows(m)
-    aug = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.num)]
     sign, prev = 1, 1
     for c in range(k):
         piv = next((i for i in range(c, k) if aug[i][c]), None)
@@ -335,10 +328,10 @@ def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
             elif pivot != prev:
                 aug[i] = [x * pivot // prev for x in aug[i]]
         prev = pivot
-    # adj(d*m) = d^(k-1) adj(m) and det(d*m) = d^k det(m).
-    scale = d ** (k - 1)
-    adj = RationalMatrix([[Fraction(sign * x, scale) for x in row[k:]] for row in aug])
-    return Fraction(sign * prev, scale * d), adj
+    # m = num/d, so adj(m) = adj(num) / d^(k-1) and det(m) = det(num) / d^k.
+    scale = m.den ** (k - 1)
+    adj = RationalMatrix._from_ints(([sign * x for x in row[k:]] for row in aug), scale)
+    return Fraction(sign * prev, scale * m.den), adj
 
 
 def eigen_multiplicity(m: RationalMatrix, lam: Fraction | int) -> int:
@@ -348,40 +341,32 @@ def eigen_multiplicity(m: RationalMatrix, lam: Fraction | int) -> int:
     return m.nrows - rank(m.shifted(lam))
 
 
-def _charpoly_ints(a: list[list[int]], n: int) -> list[int]:
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    c = -sum(a[i][i] for i in range(n))
-    coeffs[n - 1] = c
-    rng = range(n)
-    for k in range(2, n + 1):
-        newm = []
-        for i in rng:
-            arow = a[i]
-            newm.append(
-                [sum(arow[t] * mat[t][j] for t in rng) + (c if i == j else 0) for j in rng]
-            )
-        mat = newm
-        t = sum(a[i][j] * mat[j][i] for i in rng for j in rng)
+def _charpoly_ints(a: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Faddeev-LeVerrier on an integer matrix: M_k = a M_(k-1) + c_(n-k+1) I
+    from M_0 = 0, and c_(n-k) = -tr(a M_k) / k, an exact division."""
+    coeffs = [0] * n + [1]
+    mat = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mat = _product(a, mat)
+        for i in range(n):
+            mat[i][i] += coeffs[n - k + 1]
+        t = sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*mat))))
         q, r = divmod(-t, k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
-        c = q
-        coeffs[n - k] = c
+        coeffs[n - k] = q
     return coeffs
 
 
 def char_poly(m: RationalMatrix) -> Polynomial:
     """Characteristic polynomial det(x*I - m), monic, via Faddeev-LeVerrier.
 
-    With d the lcm of the denominators, d*m is an integer matrix and its
-    coefficient of x^k is d^(n-k) times that of m."""
+    m = num/d, and the coefficient of x^k for m is d^-(n-k) times that for
+    the integer matrix num."""
     if m.nrows != m.ncols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
-    a, d = _common_rows(m)
-    coeffs = _charpoly_ints(a, n)
-    return Polynomial(Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs))
+    coeffs = _charpoly_ints(m.num, n)
+    return Polynomial(Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs))
 
 
 def poly_divides(d: Polynomial, p: Polynomial) -> bool:

@@ -122,19 +122,23 @@ def _spectrum_n3() -> SpectrumCertificate:
 # stores the certificate it produces there, and returns (ok, details). Any
 # exception it raises is recorded as a failure of that check: an
 # IntegrityError by its message, any other as "<TypeName>: <message>".
+# Checks that depend on n alone take n and are one-slot memos, so a second
+# report of the same n does not repeat them.
 
 
-def _geometry_sanity(r: dict) -> tuple[bool, str]:
-    regular = EdgeLengthAssignment.regular(r["n"])
-    f2 = unit_regular_squared_volume(r["n"] - 2)
+@lru_cache(maxsize=1)
+def _geometry_sanity(n: int) -> tuple[bool, str]:
+    regular = EdgeLengthAssignment.regular(n)
+    f2 = unit_regular_squared_volume(n - 2)
     vols = all_codim2_squared_volumes(regular)
     ok = all(v == f2 for v in vols) and is_nondegenerate(regular)
     return ok, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
 
 
-def _incidence_structure(r: dict) -> tuple[bool, str]:
-    m = build_incidence_matrix(r["n"])
-    deg = comb(r["n"] - 1, 2)
+@lru_cache(maxsize=1)
+def _incidence_structure(n: int) -> tuple[bool, str]:
+    m = build_incidence_matrix(n)
+    deg = comb(n - 1, 2)
     ok = (
         all(x in (0, 1) for row in m.rows for x in row)
         and all(sum(row) == deg for row in m.rows)
@@ -143,8 +147,9 @@ def _incidence_structure(r: dict) -> tuple[bool, str]:
     return ok, f"side {m.nrows}, row and column sums {deg}"
 
 
-def _jacobian_identity(r: dict) -> tuple[bool, str]:
-    ok = scaled_jacobian_at_regular(r["n"]) == build_incidence_matrix(r["n"])
+@lru_cache(maxsize=1)
+def _jacobian_identity(n: int) -> tuple[bool, str]:
+    ok = scaled_jacobian_at_regular(n) == build_incidence_matrix(n)
     return ok, "scaled Jacobian at the regular point equals the incidence matrix"
 
 
@@ -220,9 +225,9 @@ def _fd(r: dict) -> tuple[bool, str]:
 
 # (name, min_n, check), in report order; every n reports every row.
 CHECKS: tuple[tuple[str, int, Callable[[dict], tuple[bool, str]]], ...] = (
-    ("geometry_sanity", 3, _geometry_sanity),
-    ("incidence_structure", 3, _incidence_structure),
-    ("jacobian_identity", 3, _jacobian_identity),
+    ("geometry_sanity", 3, lambda r: _geometry_sanity(r["n"])),
+    ("incidence_structure", 3, lambda r: _incidence_structure(r["n"])),
+    ("jacobian_identity", 3, lambda r: _jacobian_identity(r["n"])),
     ("independence_certificate", 3, _independence),
     ("gram_consistency", 3, _gram_consistency),
     ("orbit_partition_equitable", 4, _equitable),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -75,12 +76,16 @@ class TestDeterminant:
         assert det_fraction_free(a @ b) == det_fraction_free(a) * det_fraction_free(b)
 
 
-def rational_matrices(nrows, ncols):
+def entry_rows(nrows, ncols, entries=None):
     return st.lists(
-        st.lists(rationals(), min_size=ncols, max_size=ncols),
+        st.lists(rationals() if entries is None else entries, min_size=ncols, max_size=ncols),
         min_size=nrows,
         max_size=nrows,
-    ).map(RationalMatrix)
+    )
+
+
+def rational_matrices(nrows, ncols):
+    return entry_rows(nrows, ncols).map(RationalMatrix)
 
 
 class TestAdjugate:
@@ -281,3 +286,104 @@ class TestMatrixBasics:
     def test_shifted(self):
         m = RationalMatrix([[2, 1], [1, 2]])
         assert m.shifted(2) == RationalMatrix([[0, 1], [1, 0]])
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+any_rows = shapes.flatmap(lambda s: entry_rows(*s))
+square_pairs = st.integers(1, 4).flatmap(lambda k: st.tuples(entry_rows(k, k), entry_rows(k, k)))
+
+
+class TestRepresentation:
+    """A matrix is integer rows num over one positive den in lowest terms;
+    every operation agrees with its entrywise Fraction definition."""
+
+    @staticmethod
+    def assert_lowest_terms(m):
+        assert m.den > 0
+        assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+        if not any(any(row) for row in m.num):
+            assert m.den == 1
+
+    @given(any_rows, st.integers(2, 5))
+    def test_spellings_give_equal_fields(self, rows, k):
+        as_fractions = RationalMatrix(rows)
+        unreduced = RationalMatrix(
+            [[Fraction(k * x.numerator, k * x.denominator) for x in row] for row in rows]
+        )
+        as_strings = RationalMatrix(
+            [[f"{k * x.numerator}/{k * x.denominator}" for x in row] for row in rows]
+        )
+        as_ints = RationalMatrix(
+            [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+        )
+        for m in (unreduced, as_strings, as_ints):
+            assert m == as_fractions
+            assert hash(m) == hash(as_fractions)
+            assert (m.num, m.den) == (as_fractions.num, as_fractions.den)
+        self.assert_lowest_terms(as_fractions)
+
+    def test_spellings_of_one_half(self):
+        halves = [RationalMatrix([[Fraction(2, 4), 1]]), RationalMatrix([["1/2", Fraction(1)]])]
+        assert all((m.num, m.den) == (((1, 2),), 2) for m in halves)
+        assert RationalMatrix([[0, Fraction(0, 7)]]).den == 1
+
+    @given(any_rows)
+    def test_rows_roundtrip(self, rows):
+        m = RationalMatrix(rows)
+        assert m.rows == tuple(tuple(row) for row in rows)
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+        assert RationalMatrix(m.rows) == m
+        assert all(m[i, j] == x for i, row in enumerate(rows) for j, x in enumerate(row))
+
+    @given(square_pairs)
+    def test_add_agrees_with_definition(self, pair):
+        a, b = pair
+        total = RationalMatrix(a) + RationalMatrix(b)
+        assert total.rows == tuple(
+            tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b)
+        )
+        self.assert_lowest_terms(total)
+        self.assert_lowest_terms(RationalMatrix(a) + RationalMatrix(a).scaled(-1))
+
+    @given(square_pairs)
+    def test_matmul_is_reduced(self, pair):
+        a, b = (RationalMatrix(rows) for rows in pair)
+        product = a @ b
+        assert product == matmul_by_definition(a, b)
+        self.assert_lowest_terms(product)
+
+    @given(any_rows, rationals())
+    def test_scaled_and_shifted_agree_with_definition(self, rows, c):
+        m = RationalMatrix(rows)
+        scaled = m.scaled(c)
+        assert scaled.rows == tuple(tuple(c * x for x in row) for row in rows)
+        self.assert_lowest_terms(scaled)
+        if m.nrows == m.ncols:
+            shifted = m.shifted(c)
+            assert shifted.rows == tuple(
+                tuple(x - c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(rows)
+            )
+            self.assert_lowest_terms(shifted)
+
+    @given(any_rows)
+    def test_transpose_trace_and_mul_vector(self, rows):
+        m = RationalMatrix(rows)
+        t = m.transpose()
+        assert t.rows == tuple(zip(*rows))
+        assert (t.num, t.den) == (tuple(zip(*m.num)), m.den)
+        v = rows[0]
+        assert m.mul_vector(v) == tuple(
+            sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in rows
+        )
+        assert m.mul_vector([1] * m.ncols) == tuple(sum(row, Fraction(0)) for row in rows)
+        if m.nrows == m.ncols:
+            assert m.trace() == sum((rows[i][i] for i in range(m.nrows)), Fraction(0))
+
+    @given(shapes.flatmap(lambda s: entry_rows(*s, st.integers(-9, 9))))
+    def test_doubling_a_half_integer_matrix_clears_den(self, ints):
+        halves = RationalMatrix([[Fraction(2 * x + 1, 2) for x in row] for row in ints])
+        assert halves.den == 2
+        doubled = halves.scaled(2)
+        assert doubled.den == 1
+        assert doubled.num == tuple(tuple(2 * x + 1 for x in row) for row in ints)

@@ -9,8 +9,16 @@ import facevol.report as report_mod
 from facevol.cli import main
 from facevol.exceptions import IntegrityError
 from facevol.gelfand import check_commutative
-from facevol.geometry import EdgeLengthAssignment
-from facevol.jacobian import fd_crosscheck, jacobian_squared_map
+from facevol.geometry import (
+    EdgeLengthAssignment,
+    all_codim2_squared_volumes,
+    is_nondegenerate,
+)
+from facevol.jacobian import (
+    fd_crosscheck,
+    jacobian_squared_map,
+    scaled_jacobian_at_regular,
+)
 from facevol.linalg import char_poly, rank
 from facevol.report import (
     CheckResult,
@@ -160,10 +168,19 @@ class TestComputeOnce:
 
     def test_second_report_of_an_n_repeats_no_spectral_work(self, monkeypatch):
         """A second report of the same n with another seed gives char_poly,
-        check_commutative, rank and fd_crosscheck no arguments that the first
-        report gave them: the regular-point work is done once per n."""
+        check_commutative, rank, fd_crosscheck, scaled_jacobian_at_regular and
+        all_codim2_squared_volumes no arguments that the first report gave
+        them: the regular-point work is done once per n."""
         calls = record_calls(
-            monkeypatch, (char_poly, check_commutative, rank, fd_crosscheck)
+            monkeypatch,
+            (
+                char_poly,
+                check_commutative,
+                rank,
+                fd_crosscheck,
+                scaled_jacobian_at_regular,
+                all_codim2_squared_volumes,
+            ),
         )
         verify_single(5, samples=2, seed=3)
         first = {fn: list(seen) for fn, seen in calls.items()}
@@ -172,6 +189,17 @@ class TestComputeOnce:
             assert first[fn]
             repeats = [args for args in seen[len(first[fn]) :] if args in first[fn]]
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
+
+    def test_each_sampled_point_is_checked_once(self, monkeypatch):
+        """The nondegeneracy predicate sees each sampled point once: the
+        sampling loop and the Jacobian of an accepted point share one check."""
+        calls = record_calls(monkeypatch, (is_nondegenerate,))
+        verify_single(5, samples=2, seed=3)
+        regular = EdgeLengthAssignment.regular(5)
+        sampled = [E for (E,) in calls[is_nondegenerate] if E != regular]
+        assert len(sampled) >= 2
+        repeats = [E for i, E in enumerate(sampled) if E in sampled[:i]]
+        assert not repeats, f"{len(repeats)} sampled points checked again"
 
 
 class TestSerialization:
