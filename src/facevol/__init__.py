@@ -49,7 +49,6 @@ from .linalg import (
     exact_sqrt,
     format_rational,
     parse_rational,
-    poly_divides,
     rank,
 )
 from .report import (
@@ -117,7 +116,6 @@ __all__ = [
     "exact_sqrt",
     "format_rational",
     "parse_rational",
-    "poly_divides",
     "rank",
     "CheckResult",
     "RunConfig",

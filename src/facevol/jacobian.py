@@ -93,15 +93,20 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
         raise ValueError("degenerate edge-length assignment")
     column = {e: j for j, e in enumerate(subsets_colex(E.n + 1, 2))}
     const = 2 * _cm_constant(E.n - 2)
+    faces = subsets_colex(E.n + 1, E.n - 1)
+    adjs = [det_adjugate(cayley_menger_matrix(E, f))[1] for f in faces]
+    # Put every face's adjugate over the common denominator d, then scale all
+    # rows by const at once: entry = const * adj.num[b][a] / adj.den.
+    d = math.lcm(*(adj.den for adj in adjs))
     rows = []
-    for f in subsets_colex(E.n + 1, E.n - 1):
-        _, adj = det_adjugate(cayley_menger_matrix(E, f))
-        row = [Fraction(0)] * len(column)
+    for f, adj in zip(faces, adjs):
+        scale = const.numerator * (d // adj.den)
+        row = [0] * len(column)
         # Slot 0 is the border row/column, so vertex f[i] sits at slot i + 1.
         for (a, u), (b, w) in combinations(enumerate(f, start=1), 2):
-            row[column[(u, w)]] = const * adj[b, a]
+            row[column[(u, w)]] = scale * adj.num[b][a]
         rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix._from_ints(rows, d * const.denominator)
 
 
 @lru_cache(maxsize=1)

@@ -13,7 +13,9 @@ path in this module.
   instead of rationals with growing gcd cost;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
   elimination on ``[num | I]``;
-- characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``.
+- characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``;
+  the certification takes it of the 3x3 orbit divisor only, because the Gram
+  spectrum is certified by exact nullities instead.
 """
 
 from __future__ import annotations
@@ -221,25 +223,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(out)
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ValueError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = other.coeffs
-        dd = other.degree
-        lead = dc[-1]
-        qlen = len(rem) - dd
-        if qlen <= 0:
-            return Polynomial([0]), Polynomial(rem)
-        quot = [Fraction(0)] * qlen
-        for i in range(qlen - 1, -1, -1):
-            f = rem[i + dd] / lead
-            quot[i] = f
-            if f:
-                for j, c in enumerate(dc):
-                    rem[i + j] -= f * c
-        return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
-
 
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """The product of two integer matrices given as rows."""
@@ -367,11 +350,3 @@ def char_poly(m: RationalMatrix) -> Polynomial:
     n = m.nrows
     coeffs = _charpoly_ints(m.num, n)
     return Polynomial(Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs))
-
-
-def poly_divides(d: Polynomial, p: Polynomial) -> bool:
-    """True iff d divides p exactly (zero remainder)."""
-    if d.is_zero:
-        raise ValueError("zero divisor polynomial")
-    _, rem = divmod(p, d)
-    return rem.is_zero

@@ -1,12 +1,16 @@
 """The face-edge Gram matrix, equitable partitions and their quotients, the
 3x3 orbit divisor, and the fully certified spectrum of the Gram matrix.
 
-Eigenvalue candidates come cheaply from the 3x3 divisor; the multiplicity of
-each is then certified as an exact nullity of the big matrix, and the
-certificate is accepted only if the multiplicities exhaust the dimension and
-satisfy the trace and determinant identities. Computed values are
-authoritative; disagreements with the claimed closed forms are recorded as
-discrepancies.
+Eigenvalue candidates come cheaply from the 3x3 divisor, whose characteristic
+polynomial is the only one computed. The multiplicity of each candidate is
+then certified as an exact nullity of the big matrix, and the certificate is
+accepted only if the multiplicities exhaust the dimension and satisfy the
+trace and determinant identities. Nullities of distinct eigenvalues that sum
+to the dimension make the Gram matrix diagonalizable with exactly those
+eigenvalues, so its characteristic polynomial is prod (x - lam_i)^m_i; the
+divisibility by the divisor's characteristic polynomial is read off the
+certified multiplicities. Computed values are authoritative; disagreements
+with the claimed closed forms are recorded as discrepancies.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .linalg import (
     det_fraction_free,
     exact_sqrt,
     format_rational,
-    poly_divides,
     rank,
 )
 from .subsets import (
@@ -83,17 +86,18 @@ def check_equitable(
         raise ValueError("partition cells must be non-empty")
     if sorted(seen) != list(range(gram.nrows)):
         raise ValueError("partition must cover all vertex indices exactly once")
+    # Sum the integer rows; every sum shares the one denominator gram.den.
+    num = gram.num
     equitable = True
     q = []
     for cell_a in cells:
         row = []
         for cell_b in cells:
-            sums = {sum(gram[v, w] for w in cell_b) for v in cell_a}
-            if len(sums) > 1:
-                equitable = False
-            row.append(sum(gram[cell_a[0], w] for w in cell_b))
+            sums = [sum(map(num[v].__getitem__, cell_b)) for v in cell_a]
+            equitable = equitable and len(set(sums)) == 1
+            row.append(sums[0])
         q.append(row)
-    return DivisorQuotient(cells, RationalMatrix(q), equitable)
+    return DivisorQuotient(cells, RationalMatrix._from_ints(q, gram.den), equitable)
 
 
 def divisor_closed_form(n: int) -> RationalMatrix:
@@ -144,11 +148,12 @@ def divisor_matrix(n: int) -> RationalMatrix:
     return dq.quotient
 
 
-@lru_cache(maxsize=1)
 def divisor_divides(n: int) -> bool:
     """Exact divisibility of the Gram characteristic polynomial by the
-    divisor's characteristic polynomial."""
-    return poly_divides(char_poly(divisor_matrix(n)), char_poly(build_gram(n)))
+    divisor's. The certified spectrum gives char G = prod (x - lam_i)^m_i and
+    char D = prod (x - lam_i) over the same distinct lam_i, so char D divides
+    char G exactly when every m_i >= 1. Raises what full_spectrum raises."""
+    return all(w.multiplicity >= 1 for w in full_spectrum(n).eigenvalues)
 
 
 def divisor_eigenpairs(
@@ -272,8 +277,10 @@ def full_spectrum(n: int) -> SpectrumCertificate:
         if divisor.mul_vector(vec) != tuple(lam * x for x in vec):
             raise IntegrityError(f"divisor eigenvector check failed for {lam} at n={n}")
     lams = [lam for _, lam in pairs]
-    if char_poly(divisor) != Polynomial.from_roots(lams):
-        raise IntegrityError(f"divisor eigenvalues are incomplete at n={n}")
+    # Nullities of distinct eigenvalues that sum to the size below make the
+    # Gram matrix diagonalizable, with char poly prod (x - lam)^multiplicity.
+    if len(set(lams)) != len(lams) or char_poly(divisor) != Polynomial.from_roots(lams):
+        raise IntegrityError(f"divisor eigenvalues are not distinct and complete at n={n}")
     size = gram.nrows
     witnesses = []
     for lam in lams:

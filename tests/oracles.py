@@ -88,6 +88,33 @@ def charpoly_by_cofactors(m: RationalMatrix) -> Polynomial:
     return poly_det(entries)
 
 
+def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Schoolbook long division: (q, r) with p = q*d + r and deg r < deg d."""
+    if d.is_zero:
+        raise ValueError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dc = d.coeffs
+    dd = d.degree
+    qlen = len(rem) - dd
+    if qlen <= 0:
+        return Polynomial([0]), Polynomial(rem)
+    quot = [Fraction(0)] * qlen
+    for i in range(qlen - 1, -1, -1):
+        f = rem[i + dd] / dc[-1]
+        quot[i] = f
+        if f:
+            for j, c in enumerate(dc):
+                rem[i + j] -= f * c
+    return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
+
+
+def poly_divides(d: Polynomial, p: Polynomial) -> bool:
+    """True iff d divides p exactly (zero remainder)."""
+    if d.is_zero:
+        raise ValueError("zero divisor polynomial")
+    return poly_divmod(p, d)[1].is_zero
+
+
 def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
     """Horner evaluation of p with the square matrix m substituted for x."""
     identity = RationalMatrix.identity(m.nrows)

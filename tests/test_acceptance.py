@@ -17,7 +17,7 @@ from facevol.jacobian import (
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import char_poly, det_fraction_free, poly_divides
+from facevol.linalg import char_poly, det_fraction_free
 from facevol.spectral import (
     build_gram,
     check_equitable,
@@ -28,6 +28,8 @@ from facevol.spectral import (
     full_spectrum,
 )
 from facevol.subsets import build_incidence_matrix, orbit_partition, unrank_subset
+
+from oracles import poly_divides
 
 
 def report(num: int, name: str, ok: bool) -> None:

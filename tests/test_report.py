@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import facevol.report as report_mod
+import facevol.spectral as spectral_mod
 from facevol.cli import main
 from facevol.exceptions import IntegrityError
 from facevol.gelfand import check_commutative
@@ -29,6 +30,7 @@ from facevol.report import (
     serialize_reports,
     verify_single,
 )
+from facevol.spectral import build_gram
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,22 @@ class TestPipeline:
         assert by_name["divisor_char_poly_divides"].status == "fail"
         assert not rep.overall_pass
 
+    def test_underreported_nullity_fails_divisibility_and_spectrum(
+        self, monkeypatch, capsys
+    ):
+        """A rank witness that under-reports the nullity of eigenvalue 1 breaks
+        the certificate; the divisibility read off it fails the same way."""
+        record_calls(monkeypatch, ())  # empty the memos
+        shifted = build_gram(5).shifted(1)
+        monkeypatch.setattr(spectral_mod, "rank", lambda m: rank(m) + (m == shifted))
+        by_name = {c.name: c for c in verify_single(5, samples=0, seed=0).checks}
+        message = "multiplicities do not exhaust the spectrum at n=5"
+        for name in ("divisor_char_poly_divides", "spectrum_certificate"):
+            assert by_name[name] == CheckResult(name, "fail", message)
+        capsys.readouterr()
+        assert main(["--n", "5", "--samples", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 def record_calls(monkeypatch, fns):
     """Empty every facevol memo and record the arguments of each call to
@@ -189,6 +207,13 @@ class TestComputeOnce:
             assert first[fn]
             repeats = [args for args in seen[len(first[fn]) :] if args in first[fn]]
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
+
+    def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
+        """The Gram char poly is never computed: its divisibility is read off
+        the certified spectrum, so the 3x3 divisor is the one char_poly."""
+        calls = record_calls(monkeypatch, (char_poly,))
+        verify_single(6, samples=2, seed=3)
+        assert [m.nrows for (m,) in calls[char_poly]] == [3]
 
     def test_each_sampled_point_is_checked_once(self, monkeypatch):
         """The nondegeneracy predicate sees each sampled point once: the

@@ -1,16 +1,18 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import facevol.spectral as spectral_mod
 from facevol.linalg import (
     Polynomial,
     RationalMatrix,
     char_poly,
     det_fraction_free,
-    poly_divides,
 )
 from facevol.spectral import (
+    EigenvalueWitness,
     build_gram,
     check_equitable,
     det_incidence,
@@ -30,7 +32,7 @@ from facevol.subsets import (
     unrank_subset,
 )
 
-from oracles import sympy_det
+from oracles import poly_divides, sympy_det
 
 
 class TestGram:
@@ -71,6 +73,15 @@ class TestEquitable:
         dq = check_equitable(gram, orbit_partition(4, (1, 2, 3)))
         assert dq.equitable
         assert dq.quotient == RationalMatrix([[3, 6, 0], [1, 6, 2], [0, 4, 5]])
+
+    def test_rational_weights_scale_the_quotient(self):
+        gram = build_gram(5)
+        partition = orbit_partition(5, unrank_subset(6, 4, 0))
+        half = check_equitable(gram.scaled(Fraction(1, 2)), partition)
+        assert half.equitable
+        assert half.quotient == check_equitable(gram, partition).quotient.scaled(
+            Fraction(1, 2)
+        )
 
     def test_split_middle_orbit_not_equitable(self):
         gram = build_gram(4)
@@ -133,6 +144,27 @@ class TestDivisor:
         assert char_poly(build_gram(4)) == Polynomial.from_roots(
             [9] + [4] * 4 + [1] * 5
         )
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_gram_charpoly_is_product_over_certified_multiplicities(self, n):
+        # Faddeev-LeVerrier on the full Gram matrix is the independent oracle
+        # for char G = prod (x - lam)^m that divisor_divides relies on.
+        roots = [
+            w.value for w in full_spectrum(n).eigenvalues for _ in range(w.multiplicity)
+        ]
+        assert char_poly(build_gram(n)) == Polynomial.from_roots(roots)
+
+    def test_zero_multiplicity_does_not_divide(self, monkeypatch):
+        cert = full_spectrum(5)
+        for fn in vars(spectral_mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        emptied = EigenvalueWitness(cert.eigenvalues[1].value, 0, 15)
+        eigenvalues = (cert.eigenvalues[0], emptied, cert.eigenvalues[2])
+        monkeypatch.setattr(
+            spectral_mod, "full_spectrum", lambda n: replace(cert, eigenvalues=eigenvalues)
+        )
+        assert not divisor_divides(5)
 
     def test_perturbed_divisor_fails_to_divide(self):
         d = divisor_matrix(4)
