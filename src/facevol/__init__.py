@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .jacobian import (
     IndependenceCertificate,
-    d_sqvol_d_sqlen,
     fd_crosscheck,
     independence_certificate,
     jacobian_squared_map,
@@ -45,7 +44,6 @@ from .linalg import (
     char_poly,
     det_adjugate,
     det_fraction_free,
-    eigen_multiplicity,
     exact_sqrt,
     format_rational,
     parse_rational,
@@ -79,7 +77,6 @@ from .subsets import (
     build_incidence_matrix,
     intersection_class,
     orbit_partition,
-    rank_subset,
     subsets_colex,
     unrank_subset,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "squared_volume",
     "unit_regular_squared_volume",
     "IndependenceCertificate",
-    "d_sqvol_d_sqlen",
     "fd_crosscheck",
     "independence_certificate",
     "jacobian_squared_map",
@@ -112,7 +108,6 @@ __all__ = [
     "char_poly",
     "det_adjugate",
     "det_fraction_free",
-    "eigen_multiplicity",
     "exact_sqrt",
     "format_rational",
     "parse_rational",
@@ -140,7 +135,6 @@ __all__ = [
     "build_incidence_matrix",
     "intersection_class",
     "orbit_partition",
-    "rank_subset",
     "subsets_colex",
     "unrank_subset",
 ]

@@ -106,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
             n_values=n_values,
             samples=args.samples,
             seed=args.seed,
-            fmt=args.fmt,
-            output=args.output,
             jobs=args.jobs,
             max_n=args.max_n,
         )
@@ -117,19 +115,19 @@ def main(argv: list[str] | None = None) -> int:
 
     reports = run_verification(config)
 
-    if config.output is None:
-        sys.stdout.write(serialize_reports(reports, config.fmt))
+    if args.output is None:
+        sys.stdout.write(serialize_reports(reports, args.fmt))
     else:
         if single_mode:
-            files = {Path(config.output): reports[0]}
+            files = {Path(args.output): reports[0]}
         else:
             # range mode always writes one file per n, even for a 1-element range
-            ext = "json" if config.fmt == "json" else "md"
-            files = {Path(config.output) / f"verify_n{r.n}.{ext}": r for r in reports}
+            ext = "json" if args.fmt == "json" else "md"
+            files = {Path(args.output) / f"verify_n{r.n}.{ext}": r for r in reports}
         try:
             for path, r in files.items():
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(serialize_report(r, config.fmt))
+                path.write_text(serialize_report(r, args.fmt))
                 log.info("wrote %s", path)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -48,15 +48,6 @@ class EdgeLengthAssignment:
     def squared(self, u: int, w: int) -> Fraction:
         return self.squared_lengths[(u, w) if u < w else (w, u)]
 
-    def with_squared(self, edge: Sequence[int], value: Fraction) -> "EdgeLengthAssignment":
-        """Copy with one squared length replaced."""
-        e = validate_subset(self.n + 1, edge)
-        if len(e) != 2:
-            raise ValueError(f"not an edge: {e}")
-        new = dict(self.squared_lengths)
-        new[e] = Fraction(value)
-        return EdgeLengthAssignment(self.n, new)
-
 
 def cayley_menger_matrix(E: EdgeLengthAssignment, face: Sequence[int]) -> RationalMatrix:
     """Bordered squared-distance matrix of a face: zero diagonal, ones in the
@@ -64,11 +55,9 @@ def cayley_menger_matrix(E: EdgeLengthAssignment, face: Sequence[int]) -> Ration
     verts = validate_subset(E.n + 1, face)
     if len(verts) < 2:
         raise ValueError(f"face needs at least 2 vertices, got {verts}")
-    rows = [[Fraction(0)] + [Fraction(1)] * len(verts)]
+    rows = [[0] + [1] * len(verts)]
     for u in verts:
-        rows.append(
-            [Fraction(1)] + [Fraction(0) if u == w else E.squared(u, w) for w in verts]
-        )
+        rows.append([1] + [0 if u == w else E.squared(u, w) for w in verts])
     return RationalMatrix(rows)
 
 

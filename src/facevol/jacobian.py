@@ -7,8 +7,6 @@ constant times the determinant of its Cayley-Menger matrix C, and by Jacobi's
 formula d det C / d C_ab = adj(C)_ba, so one exact adjugate of C gives the
 partials for every edge of the face at once. The squared length of edge (a, b)
 sits in the two symmetric slots (a, b) and (b, a), which doubles the partial.
-:func:`d_sqvol_d_sqlen` computes a single partial from one cofactor instead;
-it is defined at degenerate points too.
 
 Working in squared coordinates keeps every derivative rational. Full rank of
 the squared-coordinate Jacobian at a nondegenerate point transfers to the
@@ -39,8 +37,8 @@ from .geometry import (
     squared_volume,
     unit_regular_squared_volume,
 )
-from .linalg import RationalMatrix, det_adjugate, det_fraction_free, rank
-from .subsets import subsets_colex, validate_subset
+from .linalg import RationalMatrix, det_adjugate, rank
+from .subsets import subsets_colex
 
 RANK_TRANSFER_NOTE = (
     "ranks are of the squared-volume map in squared-length coordinates; "
@@ -49,38 +47,6 @@ RANK_TRANSFER_NOTE = (
 )
 
 _SAMPLE_RETRIES = 64
-
-
-def _cofactor(m: RationalMatrix, i: int, j: int) -> Fraction:
-    minor = RationalMatrix(
-        [
-            [x for c, x in enumerate(row) if c != j]
-            for r, row in enumerate(m.rows)
-            if r != i
-        ]
-    )
-    return (-1) ** (i + j) * det_fraction_free(minor)
-
-
-def d_sqvol_d_sqlen(
-    E: EdgeLengthAssignment, face: Sequence[int], edge: Sequence[int]
-) -> Fraction:
-    """Exact partial of the face's squared volume w.r.t. one squared edge
-    length; zero when the edge is not in the face."""
-    f = validate_subset(E.n + 1, face)
-    e = validate_subset(E.n + 1, edge)
-    if len(f) != E.n - 1:
-        raise ValueError(f"face must be an (n-1)-subset, got {f}")
-    if len(e) != 2:
-        raise ValueError(f"not an edge: {e}")
-    if not set(e) <= set(f):
-        return Fraction(0)
-    cm = cayley_menger_matrix(E, f)
-    a = f.index(e[0]) + 1  # +1 skips the border row/column
-    b = f.index(e[1]) + 1
-    # The squared length sits in the two symmetric slots (a,b) and (b,a); the
-    # derivative of the determinant is the sum of the two (equal) cofactors.
-    return _cm_constant(len(f) - 1) * 2 * _cofactor(cm, a, b)
 
 
 def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
@@ -151,9 +117,7 @@ def _sample_point(n: int, rng: random.Random) -> EdgeLengthAssignment:
 def _verified_rank(jac: RationalMatrix) -> int:
     """Rank, re-verified under a reversed elimination order."""
     r = rank(jac)
-    reversed_jac = RationalMatrix(
-        [row[::-1] for row in jac.rows[::-1]]
-    )
+    reversed_jac = RationalMatrix._from_ints((row[::-1] for row in jac.num[::-1]), jac.den)
     if rank(reversed_jac) != r:
         raise IntegrityError("rank witness failed re-verification")
     return r

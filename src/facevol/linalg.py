@@ -87,10 +87,6 @@ class RationalMatrix:
         m.num, m.den, m.nrows, m.ncols = num, den, len(num), len(num[0])
         return m
 
-    @classmethod
-    def identity(cls, k: int) -> "RationalMatrix":
-        return cls._from_ints(([int(i == j) for j in range(k)] for i in range(k)), 1)
-
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as Fractions, row by row."""
@@ -110,14 +106,6 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch: {self!r} vs {other!r}")
-        d = math.lcm(self.den, other.den)
-        fa, fb = d // self.den, d // other.den
-        pairs = zip(self.num, other.num)
-        return self._from_ints(([a * fa + b * fb for a, b in zip(*p)] for p in pairs), d)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -184,10 +172,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (Fraction(0),)
 
-    @property
-    def degree(self) -> int:
-        return -1 if self.is_zero else len(self.coeffs) - 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -199,18 +183,6 @@ class Polynomial:
     def __repr__(self) -> str:
         terms = ", ".join(format_rational(c) for c in self.coeffs)
         return f"Polynomial([{terms}])"
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
@@ -315,13 +287,6 @@ def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
     scale = m.den ** (k - 1)
     adj = RationalMatrix._from_ints(([sign * x for x in row[k:]] for row in aug), scale)
     return Fraction(sign * prev, scale * m.den), adj
-
-
-def eigen_multiplicity(m: RationalMatrix, lam: Fraction | int) -> int:
-    """dim ker(m - lam*I), exact."""
-    if m.nrows != m.ncols:
-        raise ValueError("eigenvalue multiplicity needs a square matrix")
-    return m.nrows - rank(m.shifted(lam))
 
 
 def _charpoly_ints(a: Sequence[Sequence[int]], n: int) -> list[int]:

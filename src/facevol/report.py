@@ -40,7 +40,7 @@ from .jacobian import (
     regular_jacobian,
     scaled_jacobian_at_regular,
 )
-from .linalg import eigen_multiplicity, format_rational, parse_rational
+from .linalg import format_rational, parse_rational, rank
 from .spectral import (
     EigenvalueWitness,
     SingularValueEntry,
@@ -99,7 +99,7 @@ class VerificationReport:
 def _spectrum_n3() -> SpectrumCertificate:
     # The n = 3 Gram matrix is the identity; certify it directly.
     gram = build_gram(3)
-    mult = eigen_multiplicity(gram, 1)
+    mult = gram.nrows - rank(gram.shifted(1))
     det_m = det_incidence(3)
     if mult != gram.nrows or det_m * det_m != det_gram(3):
         raise IntegrityError("n=3 spectrum certification failed")
@@ -140,9 +140,10 @@ def _incidence_structure(n: int) -> tuple[bool, str]:
     m = build_incidence_matrix(n)
     deg = comb(n - 1, 2)
     ok = (
-        all(x in (0, 1) for row in m.rows for x in row)
-        and all(sum(row) == deg for row in m.rows)
-        and all(sum(col) == deg for col in zip(*m.rows))
+        m.den == 1
+        and all(x in (0, 1) for row in m.num for x in row)
+        and all(sum(row) == deg for row in m.num)
+        and all(sum(col) == deg for col in zip(*m.num))
     )
     return ok, f"side {m.nrows}, row and column sums {deg}"
 
@@ -281,8 +282,6 @@ class RunConfig:
     n_values: tuple[int, ...]
     samples: int = 3
     seed: int = 42
-    fmt: str = "json"
-    output: str | None = None
     jobs: int = 1
     max_n: int = MAX_N_GUARD
 
@@ -299,8 +298,6 @@ class RunConfig:
             raise ValueError("samples must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.fmt not in ("json", "markdown"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def _verify_args(args: tuple[int, int, int]) -> VerificationReport:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import TracebackType
 from typing import Sequence
 
 from .claims import (
@@ -259,15 +260,34 @@ def _audit_claims(
     )
 
 
-@lru_cache(maxsize=1)
 def full_spectrum(n: int) -> SpectrumCertificate:
     """Complete certified spectrum of the Gram matrix for n >= 4.
 
     Candidates are the divisor eigenvalues; each multiplicity is an exact
     nullity with its rank witness. The certificate is rejected unless the
     multiplicities sum to the dimension and the trace and determinant
-    identities close.
+    identities close. A rejection is remembered like a result, so every
+    check that needs the spectrum of a failing n gets the same error
+    without certifying again.
     """
+    result = _spectrum_or_error(n)
+    if isinstance(result, SpectrumCertificate):
+        return result
+    exc, tb = result
+    raise exc.with_traceback(tb)
+
+
+@lru_cache(maxsize=1)
+def _spectrum_or_error(n: int) -> SpectrumCertificate | tuple[Exception, TracebackType]:
+    # lru_cache keeps no exception, so the error is returned as the value,
+    # with its own traceback, which re-raising it would otherwise extend.
+    try:
+        return _certify_spectrum(n)
+    except Exception as exc:
+        return exc, exc.__traceback__
+
+
+def _certify_spectrum(n: int) -> SpectrumCertificate:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     gram = build_gram(n)

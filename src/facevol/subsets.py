@@ -8,7 +8,7 @@ all matrices index them by colex rank so every run is byte-reproducible.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -31,12 +31,6 @@ def validate_subset(n_total: int, s: Sequence[int]) -> tuple[int, ...]:
     return t
 
 
-def rank_subset(n_total: int, s: Sequence[int]) -> int:
-    """Colex rank of a k-subset; inverse of :func:`unrank_subset`."""
-    t = validate_subset(n_total, s)
-    return sum(comb(v - 1, i + 1) for i, v in enumerate(t))
-
-
 def unrank_subset(n_total: int, k: int, r: int) -> tuple[int, ...]:
     """The r-th k-subset of 1..n_total in colex order."""
     if k < 1 or k > n_total:
@@ -53,8 +47,8 @@ def unrank_subset(n_total: int, k: int, r: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-# Unbounded: callers alternate between edges and faces of the same n.
-@cache
+# Two slots: callers alternate between the edges and the faces of one n.
+@lru_cache(maxsize=2)
 def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of 1..n_total, colex order (rank order)."""
     return tuple(unrank_subset(n_total, k, r) for r in range(comb(n_total, k)))

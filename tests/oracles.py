@@ -2,18 +2,23 @@
 
 Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
-sympy, Heron's formula, exact difference quotients) and then compared against
+sympy, Heron's formula, exact difference quotients, one cofactor determinant
+per Jacobian entry, the closed-form colex rank) and then compared against
 both the frozen literal and the library implementation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from typing import Sequence
 
 import sympy
 from hypothesis import strategies as st
 
-from facevol.linalg import Polynomial, RationalMatrix
+from facevol.geometry import EdgeLengthAssignment, _cm_constant, cayley_menger_matrix
+from facevol.linalg import Polynomial, RationalMatrix, det_fraction_free
+from facevol.subsets import validate_subset
 
 
 def rationals(max_num: int = 9, max_den: int = 5) -> st.SearchStrategy[Fraction]:
@@ -33,6 +38,40 @@ def square_matrices(min_side: int = 1, max_side: int = 4) -> st.SearchStrategy[R
         ).map(RationalMatrix)
 
     return st.integers(min_value=min_side, max_value=max_side).flatmap(build)
+
+
+def identity(k: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(k)] for i in range(k)])
+
+
+def rank_subset(n_total: int, s: Sequence[int]) -> int:
+    """Colex rank of a k-subset; inverse of ``unrank_subset``."""
+    t = validate_subset(n_total, s)
+    return sum(comb(v - 1, i + 1) for i, v in enumerate(t))
+
+
+def with_squared(
+    E: EdgeLengthAssignment, edge: tuple[int, int], value: Fraction
+) -> EdgeLengthAssignment:
+    """Copy of E with the squared length of one edge replaced."""
+    return EdgeLengthAssignment(E.n, {**E.squared_lengths, edge: Fraction(value)})
+
+
+def d_sqvol_d_sqlen(
+    E: EdgeLengthAssignment, face: tuple[int, ...], edge: tuple[int, int]
+) -> Fraction:
+    """Exact partial of the face's squared volume w.r.t. one squared edge
+    length, from one cofactor of its Cayley-Menger matrix; zero when the edge
+    is not in the face."""
+    if not set(edge) <= set(face):
+        return Fraction(0)
+    a, b = (face.index(v) + 1 for v in edge)  # +1 skips the border row/column
+    rows = cayley_menger_matrix(E, face).rows
+    minor = [[x for c, x in enumerate(row) if c != b] for row in rows[:a] + rows[a + 1 :]]
+    # The squared length sits in the two symmetric slots (a,b) and (b,a); the
+    # derivative of the determinant is the sum of the two (equal) cofactors.
+    cofactor = (-1) ** (a + b) * det_fraction_free(RationalMatrix(minor))
+    return _cm_constant(len(face) - 1) * 2 * cofactor
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -69,14 +108,14 @@ def charpoly_by_cofactors(m: RationalMatrix) -> Polynomial:
         k = len(entries)
         if k == 1:
             return entries[0][0]
-        total = Polynomial([0])
+        total = [Fraction(0)] * (k + 1)
         for j, p in enumerate(entries[0]):
             if p.is_zero:
                 continue
             minor = [[row[c] for c in range(k) if c != j] for row in entries[1:]]
-            term = p * poly_det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
+            for i, c in enumerate((p * poly_det(minor)).coeffs):
+                total[i] += (-1) ** j * c
+        return Polynomial(total)
 
     entries = [
         [
@@ -94,7 +133,7 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
         raise ValueError("polynomial division by zero")
     rem = list(p.coeffs)
     dc = d.coeffs
-    dd = d.degree
+    dd = len(dc) - 1
     qlen = len(rem) - dd
     if qlen <= 0:
         return Polynomial([0]), Polynomial(rem)
@@ -115,12 +154,11 @@ def poly_divides(d: Polynomial, p: Polynomial) -> bool:
     return poly_divmod(p, d)[1].is_zero
 
 
-def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> RationalMatrix:
-    """Horner evaluation of p with the square matrix m substituted for x."""
-    identity = RationalMatrix.identity(m.nrows)
-    acc = identity.scaled(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc @ m + identity.scaled(c)
+def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> sympy.Matrix:
+    """Horner evaluation, in sympy, of p with the square matrix m for x."""
+    acc, x, one = sympy.zeros(m.nrows), to_sympy(m), sympy.eye(m.nrows)
+    for c in reversed(p.coeffs):
+        acc = acc * x + sympy.Rational(c.numerator, c.denominator) * one
     return acc
 
 

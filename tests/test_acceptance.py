@@ -29,7 +29,7 @@ from facevol.spectral import (
 )
 from facevol.subsets import build_incidence_matrix, orbit_partition, unrank_subset
 
-from oracles import poly_divides
+from oracles import poly_divides, with_squared
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -164,7 +164,7 @@ def test_criterion_8_geometry_sanity():
         ok &= squared_volume(E, face) == Fraction(
             k + 1, 2**k * math.factorial(k) ** 2
         )
-    degenerate = EdgeLengthAssignment.regular(3).with_squared((1, 2), Fraction(4))
+    degenerate = with_squared(EdgeLengthAssignment.regular(3), (1, 2), Fraction(4))
     ok &= squared_volume(degenerate, (1, 2, 3)) == 0
     for n in (4, 5):
         E = EdgeLengthAssignment.regular(n)

@@ -17,7 +17,7 @@ from facevol.geometry import (
 from facevol.linalg import RationalMatrix, det_fraction_free
 from facevol.subsets import subsets_colex
 
-from oracles import heron_squared_area, rationals
+from oracles import heron_squared_area, rationals, with_squared
 
 
 def assignment(n, values):
@@ -77,11 +77,11 @@ class TestSquaredVolume:
         assert squared_volume(E, (1, 2, 3, 4)) == Fraction(1, 72)
 
     def test_degenerate_triangle(self):
-        E = EdgeLengthAssignment.regular(4).with_squared((1, 2), Fraction(4))
+        E = with_squared(EdgeLengthAssignment.regular(4), (1, 2), Fraction(4))
         assert squared_volume(E, (1, 2, 3)) == 0
 
     def test_segment_is_squared_length(self):
-        E = EdgeLengthAssignment.regular(4).with_squared((2, 3), Fraction(7, 5))
+        E = with_squared(EdgeLengthAssignment.regular(4), (2, 3), Fraction(7, 5))
         assert squared_volume(E, (2, 3)) == Fraction(7, 5)
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -101,7 +101,7 @@ class TestSquaredVolume:
     def test_triangle_matches_heron(self, sq):
         E = EdgeLengthAssignment.regular(4)
         for edge, val in zip([(1, 2), (1, 3), (2, 3)], sq):
-            E = E.with_squared(edge, val)
+            E = with_squared(E, edge, val)
         assert squared_volume(E, (1, 2, 3)) == heron_squared_area(*sq)
 
 
@@ -164,13 +164,13 @@ class TestNondegeneracy:
             assert is_nondegenerate(EdgeLengthAssignment.regular(n))
 
     def test_single_long_edge(self):
-        E = EdgeLengthAssignment.regular(4).with_squared((1, 2), Fraction(100))
+        E = with_squared(EdgeLengthAssignment.regular(4), (1, 2), Fraction(100))
         assert not is_nondegenerate(E)
 
     def test_degenerate_face_away_from_chain(self):
         # the flat triangle {4,5,x} is not on the nested chain but must
         # still force the predicate to fail
-        E = EdgeLengthAssignment.regular(4).with_squared((4, 5), Fraction(4))
+        E = with_squared(EdgeLengthAssignment.regular(4), (4, 5), Fraction(4))
         assert not is_nondegenerate(E)
 
     @settings(max_examples=40)
@@ -181,7 +181,7 @@ class TestNondegeneracy:
     def test_chain_matches_bruteforce(self, numerators, spoiled):
         E = assignment(4, [Fraction(16 + k, 16) for k in numerators])
         if spoiled is not None:
-            E = E.with_squared(spoiled, Fraction(4))
+            E = with_squared(E, spoiled, Fraction(4))
         brute = all(
             squared_volume(E, s) > 0
             for size in range(3, 6)

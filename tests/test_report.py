@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import facevol.jacobian as jacobian_mod
 import facevol.report as report_mod
 import facevol.spectral as spectral_mod
 from facevol.cli import main
@@ -20,7 +21,7 @@ from facevol.jacobian import (
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import char_poly, rank
+from facevol.linalg import RationalMatrix, char_poly, rank
 from facevol.report import (
     CheckResult,
     RunConfig,
@@ -31,11 +32,49 @@ from facevol.report import (
     verify_single,
 )
 from facevol.spectral import build_gram
+from facevol.subsets import intersection_class, subsets_colex
+
+from oracles import with_squared
 
 
 @pytest.fixture(scope="module")
 def report_n4():
     return verify_single(4, samples=3, seed=42)
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Empty the memos before the test and after it, so that an error a
+    fault left in a memo reaches no later test."""
+    record_calls(monkeypatch, ())
+    yield
+    record_calls(monkeypatch, ())
+
+
+# Faults for single stages. Each returns the check it must fail and the
+# message that check must give.
+
+
+def flip_reversed_rank(monkeypatch):
+    jac = jacobian_squared_map(EdgeLengthAssignment.regular(5))
+    flipped = RationalMatrix([row[::-1] for row in jac.rows[::-1]])
+    monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) + (m == flipped))
+    return "independence_certificate", "rank witness failed re-verification"
+
+
+def perturb_divisor_closed_form(monkeypatch):
+    rows = [list(row) for row in spectral_mod.divisor_closed_form(5).rows]
+    rows[0][1] += 1
+    monkeypatch.setattr(spectral_mod, "divisor_closed_form", lambda n: RationalMatrix(rows))
+    return "divisor_closed_form", "divisor quotient deviates from closed form at n=5"
+
+
+def misclassify_one_pair(monkeypatch):
+    pair = subsets_colex(6, 4)[:2]
+    monkeypatch.setattr(
+        spectral_mod, "intersection_class", lambda f, g: intersection_class(f, g) + ((f, g) == pair)
+    )
+    return "gram_consistency", "Gram matrix disagrees with the intersection-class rule"
 
 
 def break_fd_crosscheck(monkeypatch):
@@ -135,17 +174,34 @@ class TestPipeline:
         assert not rep.overall_pass
 
     def test_underreported_nullity_fails_divisibility_and_spectrum(
-        self, monkeypatch, capsys
+        self, cold_memos, monkeypatch, capsys
     ):
         """A rank witness that under-reports the nullity of eigenvalue 1 breaks
-        the certificate; the divisibility read off it fails the same way."""
-        record_calls(monkeypatch, ())  # empty the memos
+        the certificate, and every check that needs the spectrum fails with
+        its message. The rejection is remembered like a result: the five
+        checks share one attempt, three spectral ranks."""
         shifted = build_gram(5).shifted(1)
-        monkeypatch.setattr(spectral_mod, "rank", lambda m: rank(m) + (m == shifted))
-        by_name = {c.name: c for c in verify_single(5, samples=0, seed=0).checks}
+        calls = []
+        monkeypatch.setattr(
+            spectral_mod, "rank", lambda m: calls.append(m) or rank(m) + (m == shifted)
+        )
+        failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
+        assert len(calls) == 3
+        spectral_checks = ("divisor_char_poly_divides", "spectrum_certificate")
+        gelfand_checks = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
         message = "multiplicities do not exhaust the spectrum at n=5"
-        for name in ("divisor_char_poly_divides", "spectrum_certificate"):
-            assert by_name[name] == CheckResult(name, "fail", message)
+        assert failed == dict.fromkeys(spectral_checks + gelfand_checks, message)
+        capsys.readouterr()
+        assert main(["--n", "5", "--samples", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault", [flip_reversed_rank, perturb_divisor_closed_form, misclassify_one_pair]
+    )
+    def test_stage_fault_fails_its_check(self, cold_memos, monkeypatch, capsys, fault):
+        check, message = fault(monkeypatch)
+        by_name = {c.name: c for c in verify_single(5, samples=0, seed=0).checks}
+        assert by_name[check] == CheckResult(check, "fail", message)
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
@@ -247,13 +303,13 @@ class TestSerialization:
         assert doc["independence"]["scaling_constant_squared"] == "1/12"
 
     def test_edge_length_json_roundtrip(self):
-        E = EdgeLengthAssignment.regular(5).with_squared((2, 4), Fraction(15, 16))
+        E = with_squared(EdgeLengthAssignment.regular(5), (2, 4), Fraction(15, 16))
         doc = report_mod._to_json(E)
         assert doc["n"] == 5
         assert report_mod._from_json(EdgeLengthAssignment, doc) == E
 
     def test_edge_length_json_format(self):
-        E = EdgeLengthAssignment.regular(3).with_squared((1, 2), Fraction(17, 16))
+        E = with_squared(EdgeLengthAssignment.regular(3), (1, 2), Fraction(17, 16))
         doc = report_mod._to_json(E)
         assert list(doc["squared_lengths"])[:2] == ["1,2", "1,3"]
         assert doc["squared_lengths"]["1,2"] == "17/16"
@@ -349,8 +405,6 @@ class TestRunConfig:
             RunConfig(n_values=(4,), jobs=0)
         with pytest.raises(ValueError):
             RunConfig(n_values=(17,))
-        with pytest.raises(ValueError):
-            RunConfig(n_values=(4,), fmt="xml")
 
     def test_guard_override(self):
         cfg = RunConfig(n_values=(17,), max_n=20)
@@ -380,6 +434,9 @@ class TestCli:
 
     def test_argparse_failure_maps_to_two(self, capsys):
         assert main(["--n", "notanint"]) == 2
+
+    def test_unknown_format_maps_to_two(self, capsys):
+        assert main(["--n", "4", "--format", "xml"]) == 2
 
     def test_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)

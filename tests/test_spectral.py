@@ -27,17 +27,16 @@ from facevol.subsets import (
     build_incidence_matrix,
     intersection_class,
     orbit_partition,
-    rank_subset,
     subsets_colex,
     unrank_subset,
 )
 
-from oracles import poly_divides, sympy_det
+from oracles import identity, poly_divides, rank_subset, sympy_det
 
 
 class TestGram:
     def test_n3_is_identity(self):
-        assert build_gram(3) == RationalMatrix.identity(6)
+        assert build_gram(3) == identity(6)
 
     def test_n4_entries(self):
         gram = build_gram(4)
