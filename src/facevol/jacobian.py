@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -170,18 +169,6 @@ def independence_certificate(
     )
 
 
-def _float_face_volume(sq: dict[tuple[int, int], float], face: Sequence[int]) -> float:
-    k = len(face) - 1
-    side = k + 2
-    mat = np.ones((side, side))
-    mat[0, 0] = 0.0
-    for i, u in enumerate(face):
-        for j, w in enumerate(face):
-            mat[i + 1, j + 1] = 0.0 if u == w else sq[(u, w) if u < w else (w, u)]
-    v2 = (-1) ** (k + 1) / (2**k * math.factorial(k) ** 2) * np.linalg.det(mat)
-    return math.sqrt(max(v2, 0.0))
-
-
 def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> float:
     """Max absolute deviation between central finite differences of the
     unsquared volumes w.r.t. unsquared lengths and the exact chain-ruled
@@ -195,20 +182,29 @@ def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> 
     edges = subsets_colex(E.n + 1, 2)
     if (jac.nrows, jac.ncols) != (len(faces), len(edges)):
         raise ValueError(f"{jac!r} is not a Jacobian at an n={E.n} point")
+    column = {e: j for j, e in enumerate(edges)}
     base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
+    k = E.n - 2
+    coeff = (-1) ** (k + 1) / (2**k * math.factorial(k) ** 2)
     worst = 0.0
     for i, face in enumerate(faces):
-        fs = set(face)
         fvol = math.sqrt(float(squared_volume(E, face)))
-        for j, edge in enumerate(edges):
-            if not fs.issuperset(edge):
-                continue  # FD of an untouched face is exactly zero, as is the entry
-            elen = math.sqrt(base_sq[edge])
-            exact = elen / fvol * float(jac[i, j])
-            perturbed = dict(base_sq)
-            perturbed[edge] = (elen + step) ** 2
-            up = _float_face_volume(perturbed, face)
-            perturbed[edge] = (elen - step) ** 2
-            down = _float_face_volume(perturbed, face)
-            worst = max(worst, abs((up - down) / (2 * step) - exact))
+        # The face's float Cayley-Menger matrix, with its edges at slots (a, b)
+        # and (b, a); FD of an untouched face is exactly zero, as is its entry.
+        base = np.zeros((k + 2, k + 2))
+        base[0, 1:] = base[1:, 0] = 1.0
+        pairs = list(combinations(enumerate(face, start=1), 2))
+        for (a, u), (b, w) in pairs:
+            base[a, b] = base[b, a] = base_sq[(u, w)]
+        # Matrices 2t and 2t + 1 of the stack lengthen and shorten edge t.
+        stack = np.repeat(base[None], 2 * len(pairs), axis=0)
+        exact = np.empty(len(pairs))
+        for t, ((a, u), (b, w)) in enumerate(pairs):
+            elen = math.sqrt(base_sq[(u, w)])
+            exact[t] = elen / fvol * float(jac[i, column[(u, w)]])
+            stack[2 * t, a, b] = stack[2 * t, b, a] = (elen + step) ** 2
+            stack[2 * t + 1, a, b] = stack[2 * t + 1, b, a] = (elen - step) ** 2
+        vols = np.sqrt(np.maximum(coeff * np.linalg.det(stack), 0.0))
+        devs = np.abs((vols[0::2] - vols[1::2]) / (2 * step) - exact)
+        worst = max(worst, *devs.tolist())
     return worst

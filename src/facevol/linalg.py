@@ -4,13 +4,18 @@ Scalars are stdlib `fractions.Fraction`. A matrix is integer rows ``num`` over
 one positive denominator ``den``, in lowest terms, and every kernel computes on
 those integers directly. Fractions are made only where a value leaves a matrix:
 an entry, the ``rows`` view, a trace, a matrix-vector product or a kernel
-result. Everything here is exact; there is no floating-point or modular code
-path in this module.
+result. Everything here is exact; there is no floating-point code path in
+this module.
 
 - products multiply the integer rows and the denominators;
 - determinants and ranks use one-step Bareiss fraction-free elimination on the
   integer rows, so intermediate values stay integer minors of bounded size
   instead of rationals with growing gcd cost;
+- a rank first tries a one-directional proof mod the prime p = 2^31 - 1: if
+  the integer rows have full rank mod p, some minor of that size is nonzero
+  mod p, hence nonzero over the integers, so the rank over the rationals is
+  full too. A smaller rank mod p is only a lower bound and proves nothing, so
+  the rank then comes from Bareiss elimination;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
   elimination on ``[num | I]``;
 - characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``;
@@ -25,6 +30,12 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# The modulus of the full-rank proof. Residues are below 2^31, so a product of
+# two of them stays below 2^62 and int64 elimination cannot overflow.
+_PRIME = 2**31 - 1
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -246,9 +257,36 @@ def det_fraction_free(m: RationalMatrix) -> Fraction:
     return Fraction(sign * a[-1][-1], m.den**m.nrows)
 
 
+def _rank_mod_p(num: Sequence[Sequence[int]]) -> int:
+    """Rank of the integer rows mod _PRIME, by Gaussian elimination on int64
+    residues, with the same column-by-column pivot search as _bareiss."""
+    a = np.array([[x % _PRIME for x in row] for row in num], dtype=np.int64)
+    nr, nc = a.shape
+    r = 0
+    for c in range(nc):
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            continue
+        piv = r + nonzero[0]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), -1, _PRIME)
+        a[r, c:] = a[r, c:] * inv % _PRIME
+        below = a[r + 1 :, c : c + 1]
+        a[r + 1 :, c:] = (a[r + 1 :, c:] - below * a[r, c:]) % _PRIME
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
 def rank(m: RationalMatrix) -> int:
-    """Exact rank over the rationals by Bareiss elimination of the integer
-    rows, which have the rank of m."""
+    """Exact rank over the rationals of the integer rows, which have the rank
+    of m. Full rank mod _PRIME proves full rank over the rationals and is
+    returned at once; otherwise the rank comes from Bareiss elimination."""
+    full = min(m.nrows, m.ncols)
+    if _rank_mod_p(m.num) == full:
+        return full
     return _bareiss([list(row) for row in m.num])[0]
 
 

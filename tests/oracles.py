@@ -9,16 +9,23 @@ both the frozen literal and the library implementation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+import numpy as np
 import sympy
 from hypothesis import strategies as st
 
-from facevol.geometry import EdgeLengthAssignment, _cm_constant, cayley_menger_matrix
-from facevol.linalg import Polynomial, RationalMatrix, det_fraction_free
-from facevol.subsets import validate_subset
+from facevol.geometry import (
+    EdgeLengthAssignment,
+    _cm_constant,
+    cayley_menger_matrix,
+    squared_volume,
+)
+from facevol.linalg import Polynomial, RationalMatrix, _bareiss, det_fraction_free
+from facevol.subsets import subsets_colex, validate_subset
 
 
 def rationals(max_num: int = 9, max_den: int = 5) -> st.SearchStrategy[Fraction]:
@@ -175,6 +182,47 @@ def sympy_rank(m: RationalMatrix) -> int:
 def sympy_det(m: RationalMatrix) -> Fraction:
     d = to_sympy(m).det()
     return Fraction(int(d.p), int(d.q))
+
+
+def bareiss_rank(m: RationalMatrix) -> int:
+    """Rank by Bareiss elimination alone, with no modular shortcut."""
+    return _bareiss([list(row) for row in m.num])[0]
+
+
+def _float_face_volume(sq: dict[tuple[int, int], float], face: Sequence[int]) -> float:
+    k = len(face) - 1
+    side = k + 2
+    mat = np.ones((side, side))
+    mat[0, 0] = 0.0
+    for i, u in enumerate(face):
+        for j, w in enumerate(face):
+            mat[i + 1, j + 1] = 0.0 if u == w else sq[(u, w) if u < w else (w, u)]
+    v2 = (-1) ** (k + 1) / (2**k * math.factorial(k) ** 2) * np.linalg.det(mat)
+    return math.sqrt(max(v2, 0.0))
+
+
+def fd_deviation_by_edge(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> float:
+    """The finite-difference deviation of ``fd_crosscheck``, one edge at a
+    time: two float Cayley-Menger determinants per (face, edge) pair."""
+    faces = subsets_colex(E.n + 1, E.n - 1)
+    edges = subsets_colex(E.n + 1, 2)
+    base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
+    worst = 0.0
+    for i, face in enumerate(faces):
+        fs = set(face)
+        fvol = math.sqrt(float(squared_volume(E, face)))
+        for j, edge in enumerate(edges):
+            if not fs.issuperset(edge):
+                continue
+            elen = math.sqrt(base_sq[edge])
+            exact = elen / fvol * float(jac[i, j])
+            perturbed = dict(base_sq)
+            perturbed[edge] = (elen + step) ** 2
+            up = _float_face_volume(perturbed, face)
+            perturbed[edge] = (elen - step) ** 2
+            down = _float_face_volume(perturbed, face)
+            worst = max(worst, abs((up - down) / (2 * step) - exact))
+    return worst
 
 
 def heron_squared_area(x: Fraction, y: Fraction, z: Fraction) -> Fraction:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,10 @@ from facevol.jacobian import (
     scaled_jacobian_at_regular,
 )
 from facevol.linalg import RationalMatrix, det_fraction_free
+from facevol.report import FD_STEP, FD_TOLERANCE
 from facevol.subsets import build_incidence_matrix, subsets_colex
 
-from oracles import d_sqvol_d_sqlen, identity, sympy_rank, with_squared
+from oracles import d_sqvol_d_sqlen, fd_deviation_by_edge, identity, sympy_rank, with_squared
 
 
 def exact_central_difference(E, face, edge, h=Fraction(1, 7)):
@@ -200,6 +202,22 @@ class TestFdCrosscheck:
         coarse = fd_crosscheck(E, jac, 2e-2)
         fine = fd_crosscheck(E, jac, 1e-2)
         assert 3.0 < coarse / fine < 5.0
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_stacked_determinants_equal_the_per_edge_oracle(self, n):
+        """One stacked det call per face gives the very float that two
+        separate determinants per (face, edge) give."""
+        for E in (EdgeLengthAssignment.regular(n), seeded_point(n, 100 + n)):
+            jac = jacobian_squared_map(E)
+            assert fd_crosscheck(E, jac, FD_STEP) == fd_deviation_by_edge(E, jac, FD_STEP)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_zeroed_jacobian_fails(self, n):
+        E = EdgeLengthAssignment.regular(n)
+        zero = RationalMatrix([[0] * comb(n + 1, 2)] * comb(n + 1, 2))
+        dev = fd_crosscheck(E, zero, FD_STEP)
+        assert dev == fd_deviation_by_edge(E, zero, FD_STEP)
+        assert dev > FD_TOLERANCE
 
     def test_rejects_bad_input(self):
         E = EdgeLengthAssignment.regular(4)

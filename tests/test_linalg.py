@@ -8,8 +8,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from facevol.linalg import (
+    _PRIME,
     Polynomial,
     RationalMatrix,
+    _rank_mod_p,
     char_poly,
     det_adjugate,
     det_fraction_free,
@@ -21,6 +23,7 @@ from facevol.linalg import (
 from facevol.spectral import build_gram, divisor_matrix
 
 from oracles import (
+    bareiss_rank,
     charpoly_by_cofactors,
     cofactor_det,
     evaluate_at_matrix,
@@ -190,6 +193,46 @@ class TestRank:
         nullity = m.ncols - r
         assert r + nullity == m.ncols
         assert 0 <= r <= min(nr, nc)
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_agrees_with_bareiss_only(self, nr, inner, nc, data):
+        """Integer and rational entries, entries above 2^64 and multiples of
+        the prime; a product through ``inner`` columns caps the rank, so
+        deficient matrices take the fallback."""
+        entries = st.one_of(
+            st.integers(min_value=-2, max_value=2),
+            rationals(),
+            st.integers(min_value=2**64, max_value=2**80).map(lambda x: x * (-1) ** x),
+            st.integers(min_value=-3, max_value=3).map(lambda k: k * _PRIME),
+        )
+
+        def draw(r, c):
+            rows = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+            return RationalMatrix(data.draw(rows))
+
+        m = draw(nr, nc)
+        if data.draw(st.booleans()):
+            m = draw(nr, inner) @ draw(inner, nc)
+        assert rank(m) == bareiss_rank(m)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[_PRIME, 0], [0, 1]], 2),
+            ([[_PRIME, 2 * _PRIME, 3 * _PRIME], [1, 2, 4]], 2),
+            ([[Fraction(_PRIME, 2), 0], [0, 1]], 2),
+            ([[1, 1], [1, 1 + _PRIME], [2, 2]], 2),
+        ],
+    )
+    def test_rank_that_drops_mod_p_comes_from_the_fallback(self, rows, expected):
+        m = RationalMatrix(rows)
+        assert _rank_mod_p(m.num) < expected
+        assert rank(m) == bareiss_rank(m) == expected
 
 
 class TestEigenMultiplicity:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import facevol.jacobian as jacobian_mod
+import facevol.linalg as linalg_mod
 import facevol.report as report_mod
 import facevol.spectral as spectral_mod
 from facevol.cli import main
@@ -195,6 +196,18 @@ class TestPipeline:
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_without_modular_proofs_every_byte_stays(self, cold_memos, monkeypatch):
+        """A mod-p rank that never reaches full rank sends every rank to
+        Bareiss elimination, and the reports do not change by a byte."""
+        rep = verify_single(6, samples=2, seed=3)
+        expected = [serialize_report(rep, fmt) for fmt in ("json", "markdown")]
+        record_calls(monkeypatch, ())
+        refused = []
+        monkeypatch.setattr(linalg_mod, "_rank_mod_p", lambda num: refused.append(num) or 0)
+        rep = verify_single(6, samples=2, seed=3)
+        assert [serialize_report(rep, fmt) for fmt in ("json", "markdown")] == expected
+        assert len(refused) >= 6
+
     @pytest.mark.parametrize(
         "fault", [flip_reversed_rank, perturb_divisor_closed_form, misclassify_one_pair]
     )
@@ -263,6 +276,34 @@ class TestComputeOnce:
             assert first[fn]
             repeats = [args for args in seen[len(first[fn]) :] if args in first[fn]]
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
+
+    def test_full_rank_jacobians_skip_bareiss(self, monkeypatch):
+        """Every Jacobian rank, regular and sampled, forward and reversed, is
+        proved mod p: no Bareiss elimination runs inside one, while it still
+        runs for the rank-deficient spectral shifts."""
+        record_calls(monkeypatch, ())
+        jacobians, open_ranks, leaked, eliminated = [], [], [], []
+
+        def jacobian_rank(m):
+            jacobians.append(m)
+            open_ranks.append(m)
+            r = rank(m)
+            open_ranks.pop()
+            return r
+
+        def recorded_bareiss(a):
+            eliminated.append(len(a))
+            leaked.extend(open_ranks)
+            return bareiss(a)
+
+        bareiss = linalg_mod._bareiss
+        monkeypatch.setattr(jacobian_mod, "rank", jacobian_rank)
+        monkeypatch.setattr(linalg_mod, "_bareiss", recorded_bareiss)
+        verify_single(7, samples=2, seed=3)
+        assert [(m.nrows, m.ncols) for m in jacobians] == [(28, 28)] * 6
+        assert all(m.den != 1 for m in jacobians)
+        assert eliminated
+        assert not leaked, f"{len(leaked)} Jacobian ranks fell back to Bareiss"
 
     def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
         """The Gram char poly is never computed: its divisibility is read off
