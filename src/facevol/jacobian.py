@@ -2,11 +2,15 @@
 lengths, the collapse of the Jacobian to the incidence matrix at the regular
 point, and full-rank certificates for algebraic independence.
 
-The Jacobian is built one face at a time: the face's squared volume is a
-constant times the determinant of its Cayley-Menger matrix C, and by Jacobi's
-formula d det C / d C_ab = adj(C)_ba, so one exact adjugate of C gives the
-partials for every edge of the face at once. The squared length of edge (a, b)
-sits in the two symmetric slots (a, b) and (b, a), which doubles the partial.
+A face's squared volume is a constant times the determinant of its
+Cayley-Menger matrix C, and by Jacobi's formula d det C / d C_ab = adj(C)_ba.
+The squared length of edge (a, b) sits in the two symmetric slots (a, b) and
+(b, a), which doubles the partial. Every codim-2 face misses two vertices
+T = {s, t}, so its C is the principal submatrix of the whole simplex's
+Cayley-Menger matrix D with rows and columns T deleted. The whole Jacobian
+therefore comes from one exact adjugate of D: by Jacobi's complementary-minor
+identity and the Schur complement of D^-1, adj(C)_ba is the 3x3 minor of
+adj(D) on rows {b, s, t} and columns {a, s, t}, divided by det(D)^2.
 
 Working in squared coordinates keeps every derivative rational. Full rank of
 the squared-coordinate Jacobian at a nondegenerate point transfers to the
@@ -51,27 +55,46 @@ _SAMPLE_RETRIES = 64
 def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     """Matrix of all squared-volume partials, faces (rows) and edges (columns)
     in colex order. Its support equals the incidence matrix. Raises
-    ValueError when E is degenerate."""
-    # Nondegenerate means every face has nonzero volume, so every
-    # Cayley-Menger matrix below is nonsingular.
+    ValueError when E is degenerate.
+
+    One adjugate of the whole simplex's Cayley-Menger matrix D gives every
+    entry: D has the border at slot 0 and vertex v at slot v, and the face
+    that misses vertices s and t has, for its edge (u, w), the partial
+    2 c minor / det(D)^2. Here c is the constant with squared volume
+    c det C for the face's dimension, and minor is the 3x3 minor of adj(D)
+    on rows {w, s, t} and columns {u, s, t} (Horn & Johnson, *Matrix
+    Analysis* §0.8.4)."""
+    # Nondegenerate means every face has nonzero volume; the last face of the
+    # chain it checks is the whole simplex, so D is nonsingular.
     if not is_nondegenerate(E):
         raise ValueError("degenerate edge-length assignment")
-    column = {e: j for j, e in enumerate(subsets_colex(E.n + 1, 2))}
-    const = 2 * _cm_constant(E.n - 2)
-    faces = subsets_colex(E.n + 1, E.n - 1)
-    adjs = [det_adjugate(cayley_menger_matrix(E, f))[1] for f in faces]
-    # Put every face's adjugate over the common denominator d, then scale all
-    # rows by const at once: entry = const * adj.num[b][a] / adj.den.
-    d = math.lcm(*(adj.den for adj in adjs))
+    n = E.n
+    vertices = range(1, n + 2)
+    delta, adj = det_adjugate(cayley_menger_matrix(E, vertices))
+    p = adj.num
+    # adj(D) = p / q, so entry = 2c * minor(p) * delta.den^2 / (q^3 * delta.num^2),
+    # with one denominator for the whole matrix.
+    const = 2 * _cm_constant(n - 2)
+    scale = const.numerator * delta.denominator**2
+    den = const.denominator * adj.den**3 * delta.numerator**2
+    column = {e: j for j, e in enumerate(subsets_colex(n + 1, 2))}
     rows = []
-    for f, adj in zip(faces, adjs):
-        scale = const.numerator * (d // adj.den)
+    for face in subsets_colex(n + 1, n - 1):
+        s, t = (v for v in vertices if v not in face)
+        ps, pt = p[s], p[t]
+        pss, pst, pts, ptt = ps[s], ps[t], pt[s], pt[t]
+        # Expand the minor along its first row w: its cofactors depend on the
+        # face and on the column u only.
+        det_tt = pss * ptt - pst * pts
+        co_s = {u: ps[u] * ptt - pst * pt[u] for u in face}
+        co_t = {u: ps[u] * pts - pss * pt[u] for u in face}
         row = [0] * len(column)
-        # Slot 0 is the border row/column, so vertex f[i] sits at slot i + 1.
-        for (a, u), (b, w) in combinations(enumerate(f, start=1), 2):
-            row[column[(u, w)]] = scale * adj.num[b][a]
+        for u, w in combinations(face, 2):
+            pw = p[w]
+            minor = pw[u] * det_tt - pw[s] * co_s[u] + pw[t] * co_t[u]
+            row[column[(u, w)]] = scale * minor
         rows.append(row)
-    return RationalMatrix._from_ints(rows, d * const.denominator)
+    return RationalMatrix._from_ints(rows, den)
 
 
 @lru_cache(maxsize=1)
@@ -169,10 +192,14 @@ def independence_certificate(
     )
 
 
-def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> float:
+def fd_crosscheck(
+    E: EdgeLengthAssignment, jac: RationalMatrix, step: float
+) -> tuple[float, float]:
     """Max absolute deviation between central finite differences of the
     unsquared volumes w.r.t. unsquared lengths and the exact chain-ruled
-    derivatives from ``jac``, the squared-coordinate Jacobian at E.
+    derivatives from ``jac``, the squared-coordinate Jacobian at E, and the
+    largest absolute chain-ruled derivative, the scale to judge the deviation
+    by: face volumes shrink fast with n, and so does any absolute deviation.
     Second-order accurate in the step."""
     if step <= 0:
         raise ValueError("step must be positive")
@@ -186,7 +213,7 @@ def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> 
     base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
     k = E.n - 2
     coeff = (-1) ** (k + 1) / (2**k * math.factorial(k) ** 2)
-    worst = 0.0
+    worst = largest = 0.0
     for i, face in enumerate(faces):
         fvol = math.sqrt(float(squared_volume(E, face)))
         # The face's float Cayley-Menger matrix, with its edges at slots (a, b)
@@ -207,4 +234,5 @@ def fd_crosscheck(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> 
         vols = np.sqrt(np.maximum(coeff * np.linalg.det(stack), 0.0))
         devs = np.abs((vols[0::2] - vols[1::2]) / (2 * step) - exact)
         worst = max(worst, *devs.tolist())
-    return worst
+        largest = max(largest, *np.abs(exact).tolist())
+    return worst, largest

@@ -59,6 +59,7 @@ from .subsets import build_incidence_matrix
 log = logging.getLogger("facevol")
 
 FD_STEP = 1e-4
+# Bound on the FD deviation relative to the largest exact derivative.
 FD_TOLERANCE = 1e-5
 DEFAULT_N_RANGE = (4, 8)
 MAX_N_GUARD = 16
@@ -213,15 +214,15 @@ def _eigenvector_matching(r: dict) -> tuple[bool, str]:
 
 
 @lru_cache(maxsize=1)
-def _regular_fd_deviation(n: int) -> float:
+def _regular_fd_deviation(n: int) -> tuple[float, float]:
     """The FD cross-check at the unit regular point; depends on n only."""
     regular = EdgeLengthAssignment.regular(n)
     return fd_crosscheck(regular, regular_jacobian(n), FD_STEP)
 
 
 def _fd(r: dict) -> tuple[bool, str]:
-    dev = _regular_fd_deviation(r["n"])
-    return dev <= FD_TOLERANCE, f"max deviation {dev:.3e} at step {FD_STEP:g}"
+    dev, largest = _regular_fd_deviation(r["n"])
+    return dev <= FD_TOLERANCE * largest, f"max deviation {dev:.3e} at step {FD_STEP:g}"
 
 
 # (name, min_n, check), in report order; every n reports every row.

@@ -3,7 +3,8 @@
 Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
 sympy, Heron's formula, exact difference quotients, one cofactor determinant
-per Jacobian entry, the closed-form colex rank) and then compared against
+per Jacobian entry, one adjugate per face's Cayley-Menger matrix, the
+closed-form colex rank) and then compared against
 both the frozen literal and the library implementation.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -22,9 +24,16 @@ from facevol.geometry import (
     EdgeLengthAssignment,
     _cm_constant,
     cayley_menger_matrix,
+    is_nondegenerate,
     squared_volume,
 )
-from facevol.linalg import Polynomial, RationalMatrix, _bareiss, det_fraction_free
+from facevol.linalg import (
+    Polynomial,
+    RationalMatrix,
+    _bareiss,
+    det_adjugate,
+    det_fraction_free,
+)
 from facevol.subsets import subsets_colex, validate_subset
 
 
@@ -79,6 +88,26 @@ def d_sqvol_d_sqlen(
     # derivative of the determinant is the sum of the two (equal) cofactors.
     cofactor = (-1) ** (a + b) * det_fraction_free(RationalMatrix(minor))
     return _cm_constant(len(face) - 1) * 2 * cofactor
+
+
+def jacobian_by_face_adjugates(E: EdgeLengthAssignment) -> RationalMatrix:
+    """The squared-volume Jacobian one face at a time: one adjugate of each
+    face's Cayley-Menger matrix C gives the partials of all its edges by
+    Jacobi's formula, d det C / d C_ab = adj(C)_ba, doubled for the two
+    symmetric slots of a squared length."""
+    if not is_nondegenerate(E):
+        raise ValueError("degenerate edge-length assignment")
+    column = {e: j for j, e in enumerate(subsets_colex(E.n + 1, 2))}
+    const = 2 * _cm_constant(E.n - 2)
+    rows = []
+    for f in subsets_colex(E.n + 1, E.n - 1):
+        adj = det_adjugate(cayley_menger_matrix(E, f))[1]
+        row = [Fraction(0)] * len(column)
+        # Slot 0 is the border row/column, so vertex f[i] sits at slot i + 1.
+        for (a, u), (b, w) in combinations(enumerate(f, start=1), 2):
+            row[column[(u, w)]] = const * adj[b, a]
+        rows.append(row)
+    return RationalMatrix(rows)
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -201,13 +230,16 @@ def _float_face_volume(sq: dict[tuple[int, int], float], face: Sequence[int]) ->
     return math.sqrt(max(v2, 0.0))
 
 
-def fd_deviation_by_edge(E: EdgeLengthAssignment, jac: RationalMatrix, step: float) -> float:
-    """The finite-difference deviation of ``fd_crosscheck``, one edge at a
-    time: two float Cayley-Menger determinants per (face, edge) pair."""
+def fd_deviation_by_edge(
+    E: EdgeLengthAssignment, jac: RationalMatrix, step: float
+) -> tuple[float, float]:
+    """The finite-difference deviation and derivative scale of
+    ``fd_crosscheck``, one edge at a time: two float Cayley-Menger
+    determinants per (face, edge) pair."""
     faces = subsets_colex(E.n + 1, E.n - 1)
     edges = subsets_colex(E.n + 1, 2)
     base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
-    worst = 0.0
+    worst = largest = 0.0
     for i, face in enumerate(faces):
         fs = set(face)
         fvol = math.sqrt(float(squared_volume(E, face)))
@@ -222,7 +254,8 @@ def fd_deviation_by_edge(E: EdgeLengthAssignment, jac: RationalMatrix, step: flo
             perturbed[edge] = (elen - step) ** 2
             down = _float_face_volume(perturbed, face)
             worst = max(worst, abs((up - down) / (2 * step) - exact))
-    return worst
+            largest = max(largest, abs(exact))
+    return worst, largest
 
 
 def heron_squared_area(x: Fraction, y: Fraction, z: Fraction) -> Fraction:

@@ -168,12 +168,12 @@ def test_criterion_8_geometry_sanity():
     ok &= squared_volume(degenerate, (1, 2, 3)) == 0
     for n in (4, 5):
         E = EdgeLengthAssignment.regular(n)
-        dev = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
+        dev, _ = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
         ok &= dev <= 1e-5
     for n in (4, 5):
         E = EdgeLengthAssignment.regular(n)
         jac = jacobian_squared_map(E)
-        coarse = fd_crosscheck(E, jac, 2e-2)
-        fine = fd_crosscheck(E, jac, 1e-2)
+        coarse = fd_crosscheck(E, jac, 2e-2)[0]
+        fine = fd_crosscheck(E, jac, 1e-2)[0]
         ok &= 3.0 < coarse / fine < 5.0  # second-order step convergence
     report(8, "regular volumes exact; degenerate zero; FD within 1e-5", ok)

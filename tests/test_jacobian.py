@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import facevol.jacobian as jacobian_mod
+import facevol.report as report_mod
 from facevol.exceptions import IntegrityError
 from facevol.geometry import EdgeLengthAssignment, is_nondegenerate, squared_volume
 from facevol.jacobian import (
@@ -19,7 +20,14 @@ from facevol.linalg import RationalMatrix, det_fraction_free
 from facevol.report import FD_STEP, FD_TOLERANCE
 from facevol.subsets import build_incidence_matrix, subsets_colex
 
-from oracles import d_sqvol_d_sqlen, fd_deviation_by_edge, identity, sympy_rank, with_squared
+from oracles import (
+    d_sqvol_d_sqlen,
+    fd_deviation_by_edge,
+    identity,
+    jacobian_by_face_adjugates,
+    sympy_rank,
+    with_squared,
+)
 
 
 def exact_central_difference(E, face, edge, h=Fraction(1, 7)):
@@ -38,6 +46,19 @@ def seeded_point(n, seed, spread=2):
         for e in subsets_colex(n + 1, 2)
     }
     return EdgeLengthAssignment(n, sq)
+
+
+def mixed_denominator_points():
+    """Points at n = 3..6 whose squared lengths, near 1, have denominators
+    1, 3, 5 and 7; a few are degenerate."""
+    values = st.sampled_from([Fraction(x) for x in ("1", "2/3", "4/3", "4/5", "7/5", "6/7", "8/7")])
+
+    def build(n):
+        edges = subsets_colex(n + 1, 2)
+        lists = st.lists(values, min_size=len(edges), max_size=len(edges))
+        return lists.map(lambda sq: EdgeLengthAssignment(n, dict(zip(edges, sq))))
+
+    return st.integers(min_value=3, max_value=6).flatmap(build)
 
 
 class TestPartials:
@@ -120,6 +141,21 @@ class TestJacobianMatrix:
             )
             assert jacobian_squared_map(E) == expected
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_equals_per_face_adjugates(self, n):
+        """The Jacobian from one adjugate of the whole simplex's matrix equals
+        the one from an adjugate of every face's own matrix."""
+        for E in (EdgeLengthAssignment.regular(n), seeded_point(n, n), seeded_point(n, 50 + n)):
+            assert jacobian_squared_map(E) == jacobian_by_face_adjugates(E)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_denominator_points())
+    def test_mixed_denominators_equal_per_face_adjugates(self, E):
+        """Squared lengths over unlike denominators give adj(D) and det(D)
+        their own denominators, which every entry must carry."""
+        assume(is_nondegenerate(E))
+        assert jacobian_squared_map(E) == jacobian_by_face_adjugates(E)
+
 
 class TestScaledJacobian:
     def test_entry_arithmetic_n4(self):
@@ -193,14 +229,14 @@ class TestFdCrosscheck:
     @pytest.mark.parametrize("n", [4, 5])
     def test_small_deviation_at_default_step(self, n):
         E = EdgeLengthAssignment.regular(n)
-        dev = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
-        assert dev <= 1e-5
+        dev, largest = fd_crosscheck(E, jacobian_squared_map(E), 1e-4)
+        assert dev <= FD_TOLERANCE * largest
 
     def test_second_order_convergence(self):
         E = EdgeLengthAssignment.regular(4)
         jac = jacobian_squared_map(E)
-        coarse = fd_crosscheck(E, jac, 2e-2)
-        fine = fd_crosscheck(E, jac, 1e-2)
+        coarse = fd_crosscheck(E, jac, 2e-2)[0]
+        fine = fd_crosscheck(E, jac, 1e-2)[0]
         assert 3.0 < coarse / fine < 5.0
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -215,9 +251,35 @@ class TestFdCrosscheck:
     def test_zeroed_jacobian_fails(self, n):
         E = EdgeLengthAssignment.regular(n)
         zero = RationalMatrix([[0] * comb(n + 1, 2)] * comb(n + 1, 2))
-        dev = fd_crosscheck(E, zero, FD_STEP)
-        assert dev == fd_deviation_by_edge(E, zero, FD_STEP)
-        assert dev > FD_TOLERANCE
+        dev, largest = fd_crosscheck(E, zero, FD_STEP)
+        assert (dev, largest) == fd_deviation_by_edge(E, zero, FD_STEP)
+        assert dev > FD_TOLERANCE * largest
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("fault", ["zeroed", "perturbed"])
+    def test_wrong_jacobian_fails_the_check_at_large_n(self, monkeypatch, n, fault):
+        """Face volumes shrink fast with n, so an absolute bound lets a zeroed
+        Jacobian pass from n = 10 on; the bound relative to the largest exact
+        derivative still catches it, and a 1% error in one entry."""
+        jac = jacobian_squared_map(EdgeLengthAssignment.regular(n))
+        rows = [list(row) for row in jac.rows]
+        if fault == "zeroed":
+            rows = [[0] * jac.ncols] * jac.nrows
+        else:
+            rows[0][rows[0].index(max(rows[0]))] *= Fraction(101, 100)
+        monkeypatch.setattr(report_mod, "regular_jacobian", lambda m: RationalMatrix(rows))
+        report_mod._regular_fd_deviation.cache_clear()
+        try:
+            ok, details = report_mod._fd({"n": n})
+        finally:
+            report_mod._regular_fd_deviation.cache_clear()
+        assert not ok, details
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_exact_jacobian_passes_the_check_at_large_n(self, n):
+        report_mod._regular_fd_deviation.cache_clear()
+        ok, details = report_mod._fd({"n": n})
+        assert ok, details
 
     def test_rejects_bad_input(self):
         E = EdgeLengthAssignment.regular(4)

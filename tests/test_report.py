@@ -22,7 +22,7 @@ from facevol.jacobian import (
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import RationalMatrix, char_poly, rank
+from facevol.linalg import RationalMatrix, char_poly, det_adjugate, rank
 from facevol.report import (
     CheckResult,
     RunConfig,
@@ -208,6 +208,24 @@ class TestPipeline:
         assert [serialize_report(rep, fmt) for fmt in ("json", "markdown")] == expected
         assert len(refused) >= 6
 
+    def test_perturbed_adjugate_fails_identity_and_fd(self, cold_memos, monkeypatch, capsys):
+        """One wrong entry of the whole simplex's adjugate spreads into the
+        regular Jacobian; the exact identity and the FD cross-check both
+        catch it."""
+
+        def perturbed(m):
+            det, adj = det_adjugate(m)
+            num = [list(row) for row in adj.num]
+            num[1][2] += adj.den
+            return det, RationalMatrix._from_ints(num, adj.den)
+
+        monkeypatch.setattr(jacobian_mod, "det_adjugate", perturbed)
+        failed = {c.name for c in verify_single(5, samples=0, seed=0).checks if c.status == "fail"}
+        assert {"jacobian_identity", "fd_crosscheck"} <= failed
+        capsys.readouterr()
+        assert main(["--n", "5", "--samples", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fault", [flip_reversed_rank, perturb_divisor_closed_form, misclassify_one_pair]
     )
@@ -304,6 +322,14 @@ class TestComputeOnce:
         assert all(m.den != 1 for m in jacobians)
         assert eliminated
         assert not leaked, f"{len(leaked)} Jacobian ranks fell back to Bareiss"
+
+    def test_one_adjugate_per_jacobian(self, monkeypatch):
+        """Each Jacobian takes one adjugate, of the whole simplex's
+        Cayley-Menger matrix (side n + 2), and none per face."""
+        calls = record_calls(monkeypatch, (det_adjugate, jacobian_squared_map))
+        verify_single(5, samples=2, seed=3)
+        assert len(calls[jacobian_squared_map]) == 3
+        assert [m.nrows for (m,) in calls[det_adjugate]] == [7] * 3
 
     def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
         """The Gram char poly is never computed: its divisibility is read off
@@ -411,7 +437,9 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGolden:
     """Reports for n = 3..8 at seed 42 with 3 samples, frozen as files by
     `python -m facevol --n-range 3:8 --seed 42 --samples 3 --output
-    tests/golden` (and again with `--format markdown`)."""
+    tests/golden` (and again with `--format markdown`). CI also compares
+    `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
+    --samples 3 --output tests/golden/verify_n16.json`."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_reports_are_byte_identical(self, n):
