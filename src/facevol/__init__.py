@@ -39,7 +39,6 @@ from .jacobian import (
     scaled_jacobian_at_regular,
 )
 from .linalg import (
-    Polynomial,
     RationalMatrix,
     char_poly,
     det_adjugate,
@@ -75,7 +74,7 @@ from .spectral import (
 )
 from .subsets import (
     build_incidence_matrix,
-    intersection_class,
+    intersection_classes,
     orbit_partition,
     subsets_colex,
     unrank_subset,
@@ -103,7 +102,6 @@ __all__ = [
     "independence_certificate",
     "jacobian_squared_map",
     "scaled_jacobian_at_regular",
-    "Polynomial",
     "RationalMatrix",
     "char_poly",
     "det_adjugate",
@@ -133,7 +131,7 @@ __all__ = [
     "divisor_matrix",
     "full_spectrum",
     "build_incidence_matrix",
-    "intersection_class",
+    "intersection_classes",
     "orbit_partition",
     "subsets_colex",
     "unrank_subset",

@@ -5,7 +5,9 @@ These are the computational stand-ins for the representation-theoretic step
 of the argument: the three class indicator matrices span the orbit algebra,
 their commutativity plus a three-eigenvalue spectrum is the multiplicity-free
 signature, and the lifted divisor eigenvectors realize the orbit-constant
-eigenfunction in each eigenspace.
+eigenfunction in each eigenspace. The indicator matrices are the level sets of
+the intersection-class table that the Gram rule reads too, and since they are
+symmetric, one exact product decides their commutativity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .claims import (
 from .exceptions import IntegrityError
 from .linalg import RationalMatrix, rank
 from .spectral import build_gram, divisor_eigenpairs, divisor_quotient, full_spectrum
-from .subsets import intersection_class, subsets_colex
+from .subsets import intersection_classes
 
 
 class OrbitalMatrices(NamedTuple):
@@ -37,25 +39,22 @@ def orbital_matrices(n: int) -> OrbitalMatrices:
     face pairs: equality, overlap n-2, overlap n-3. They sum to all-ones."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    faces = subsets_colex(n + 1, n - 1)
-    mats = []
-    for target in (n - 1, n - 2, n - 3):
-        mats.append(
-            RationalMatrix(
-                [
-                    [1 if intersection_class(f, g) == target else 0 for g in faces]
-                    for f in faces
-                ]
-            )
+    table = intersection_classes(n)
+    return OrbitalMatrices(
+        *(
+            RationalMatrix._from_ints(([int(k == target) for k in row] for row in table), 1)
+            for target in (n - 1, n - 2, n - 3)
         )
-    return OrbitalMatrices(*mats)
+    )
 
 
 def check_commutative(n: int) -> bool:
     """Exact commutativity of the two non-identity class matrices; with the
-    identity they generate the whole orbit algebra, so this is the full test."""
+    identity they generate the whole orbit algebra, so this is the full test.
+    For symmetric A1 and A2, A2 A1 = (A1 A2)^T, so they commute exactly when
+    the one product A1 A2 is symmetric."""
     _, a1, a2 = orbital_matrices(n)
-    return a1 @ a2 == a2 @ a1
+    return a1.is_symmetric() and a2.is_symmetric() and (a1 @ a2).is_symmetric()
 
 
 def eigenspace_dimensions(n: int) -> tuple[int, ...]:

@@ -68,11 +68,8 @@ def _cm_constant(k: int) -> Fraction:
 
 def squared_volume(E: EdgeLengthAssignment, face: Sequence[int]) -> Fraction:
     """Exact squared k-volume of the face spanned by k+1 vertices."""
-    verts = validate_subset(E.n + 1, face)
-    if len(verts) < 2:
-        raise ValueError(f"face needs at least 2 vertices, got {verts}")
-    k = len(verts) - 1
-    return _cm_constant(k) * det_fraction_free(cayley_menger_matrix(E, verts))
+    cm = cayley_menger_matrix(E, face)
+    return _cm_constant(cm.nrows - 2) * det_fraction_free(cm)
 
 
 def unit_regular_squared_volume(k: int) -> Fraction:

@@ -37,7 +37,6 @@ from .geometry import (
     _cm_constant,
     cayley_menger_matrix,
     is_nondegenerate,
-    squared_volume,
     unit_regular_squared_volume,
 )
 from .linalg import RationalMatrix, det_adjugate, rank
@@ -212,10 +211,9 @@ def fd_crosscheck(
     column = {e: j for j, e in enumerate(edges)}
     base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
     k = E.n - 2
-    coeff = (-1) ** (k + 1) / (2**k * math.factorial(k) ** 2)
+    coeff = float(_cm_constant(k))
     worst = largest = 0.0
     for i, face in enumerate(faces):
-        fvol = math.sqrt(float(squared_volume(E, face)))
         # The face's float Cayley-Menger matrix, with its edges at slots (a, b)
         # and (b, a); FD of an untouched face is exactly zero, as is its entry.
         base = np.zeros((k + 2, k + 2))
@@ -223,6 +221,7 @@ def fd_crosscheck(
         pairs = list(combinations(enumerate(face, start=1), 2))
         for (a, u), (b, w) in pairs:
             base[a, b] = base[b, a] = base_sq[(u, w)]
+        fvol = math.sqrt(coeff * np.linalg.det(base))
         # Matrices 2t and 2t + 1 of the stack lengthen and shorten edge t.
         stack = np.repeat(base[None], 2 * len(pairs), axis=0)
         exact = np.empty(len(pairs))

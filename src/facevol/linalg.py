@@ -18,9 +18,10 @@ this module.
   the rank then comes from Bareiss elimination;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
   elimination on ``[num | I]``;
-- characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``;
-  the certification takes it of the 3x3 orbit divisor only, because the Gram
-  spectrum is certified by exact nullities instead.
+- characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``
+  and come back as a tuple of coefficients; the certification takes one of
+  the 3x3 orbit divisor only, because the Gram spectrum is certified by exact
+  nullities instead.
 """
 
 from __future__ import annotations
@@ -155,56 +156,6 @@ class RationalMatrix:
         for i, row in enumerate(num):
             row[i] -= p * self.den
         return self._from_ints(num, q * self.den)
-
-
-class Polynomial:
-    """Dense univariate polynomial over exact rationals, coefficients stored
-    in ascending degree with no trailing zeros (the zero polynomial is (0,))."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Fraction | int]) -> "Polynomial":
-        """Monic polynomial with the given roots (with multiplicity)."""
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(format_rational(c) for c in self.coeffs)
-        return f"Polynomial([{terms}])"
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial([0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
 
 
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -343,8 +294,9 @@ def _charpoly_ints(a: Sequence[Sequence[int]], n: int) -> list[int]:
     return coeffs
 
 
-def char_poly(m: RationalMatrix) -> Polynomial:
-    """Characteristic polynomial det(x*I - m), monic, via Faddeev-LeVerrier.
+def char_poly(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """Coefficients of the characteristic polynomial det(x*I - m), in
+    ascending degree and monic, via Faddeev-LeVerrier.
 
     m = num/d, and the coefficient of x^k for m is d^-(n-k) times that for
     the integer matrix num."""
@@ -352,4 +304,4 @@ def char_poly(m: RationalMatrix) -> Polynomial:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
     coeffs = _charpoly_ints(m.num, n)
-    return Polynomial(Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs))
+    return tuple(Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs))

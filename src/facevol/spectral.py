@@ -33,7 +33,6 @@ from .claims import (
 )
 from .exceptions import IntegrityError
 from .linalg import (
-    Polynomial,
     RationalMatrix,
     char_poly,
     det_fraction_free,
@@ -43,9 +42,8 @@ from .linalg import (
 )
 from .subsets import (
     build_incidence_matrix,
-    intersection_class,
+    intersection_classes,
     orbit_partition,
-    subsets_colex,
     unrank_subset,
 )
 
@@ -59,9 +57,8 @@ def build_gram(n: int) -> RationalMatrix:
         raise ValueError(f"need n >= 3, got {n}")
     m = build_incidence_matrix(n)
     gram = m @ m.transpose()
-    faces = subsets_colex(n + 1, n - 1)
-    by_rule = RationalMatrix(
-        [[comb(intersection_class(f, g), 2) for g in faces] for f in faces]
+    by_rule = RationalMatrix._from_ints(
+        ([comb(k, 2) for k in row] for row in intersection_classes(n)), 1
     )
     if gram != by_rule:
         raise IntegrityError("Gram matrix disagrees with the intersection-class rule")
@@ -297,9 +294,13 @@ def _certify_spectrum(n: int) -> SpectrumCertificate:
         if divisor.mul_vector(vec) != tuple(lam * x for x in vec):
             raise IntegrityError(f"divisor eigenvector check failed for {lam} at n={n}")
     lams = [lam for _, lam in pairs]
+    # prod (x - lam) in ascending coefficients: each factor maps p to x*p - lam*p.
+    from_roots = [Fraction(1)]
+    for lam in lams:
+        from_roots = [a - lam * b for a, b in zip([0] + from_roots, from_roots + [0])]
     # Nullities of distinct eigenvalues that sum to the size below make the
     # Gram matrix diagonalizable, with char poly prod (x - lam)^multiplicity.
-    if len(set(lams)) != len(lams) or char_poly(divisor) != Polynomial.from_roots(lams):
+    if len(set(lams)) != len(lams) or char_poly(divisor) != tuple(from_roots):
         raise IntegrityError(f"divisor eigenvalues are not distinct and complete at n={n}")
     size = gram.nrows
     witnesses = []

@@ -1,9 +1,13 @@
-"""Colexicographic k-subset enumeration, the face-edge incidence matrix, and
-vertex-stabilizer orbit partitions of the codimension-2 faces.
+"""Colexicographic k-subset enumeration, the face-edge incidence matrix, the
+intersection-class table and vertex-stabilizer orbit partitions of the
+codimension-2 faces.
 
 Vertices are labelled 1..n+1. Codimension-2 faces of an n-simplex are the
 (n-1)-subsets, edges the 2-subsets; both families have C(n+1,2) members, and
 all matrices index them by colex rank so every run is byte-reproducible.
+Two faces meet in n-1, n-2 or n-3 vertices: the three classes of the Johnson
+scheme J(n+1, 2). One table of these sizes per n gives both the Gram rule and
+the class indicator matrices.
 """
 
 from __future__ import annotations
@@ -54,12 +58,14 @@ def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(unrank_subset(n_total, k, r) for r in range(comb(n_total, k)))
 
 
-def intersection_class(a: Sequence[int], b: Sequence[int]) -> int:
-    """|a ∩ b| for two subsets of equal cardinality."""
-    ta, tb = tuple(a), tuple(b)
-    if len(ta) != len(tb):
-        raise ValueError(f"cardinality mismatch: {len(ta)} vs {len(tb)}")
-    return len(set(ta) & set(tb))
+@lru_cache(maxsize=1)
+def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """|f ∩ g| for every pair of codim-2 faces, rows and columns in colex
+    order. Square of side C(n+1,2)."""
+    if n < MIN_DIMENSION:
+        raise ValueError(f"need n >= {MIN_DIMENSION}, got {n}")
+    faces = [set(f) for f in subsets_colex(n + 1, n - 1)]
+    return tuple(tuple(len(f & g) for g in faces) for f in faces)
 
 
 @lru_cache(maxsize=1)

@@ -25,10 +25,8 @@ from facevol.geometry import (
     _cm_constant,
     cayley_menger_matrix,
     is_nondegenerate,
-    squared_volume,
 )
 from facevol.linalg import (
-    Polynomial,
     RationalMatrix,
     _bareiss,
     det_adjugate,
@@ -64,6 +62,14 @@ def rank_subset(n_total: int, s: Sequence[int]) -> int:
     """Colex rank of a k-subset; inverse of ``unrank_subset``."""
     t = validate_subset(n_total, s)
     return sum(comb(v - 1, i + 1) for i, v in enumerate(t))
+
+
+def intersection_class(a: Sequence[int], b: Sequence[int]) -> int:
+    """|a ∩ b| for two subsets of equal cardinality."""
+    ta, tb = tuple(a), tuple(b)
+    if len(ta) != len(tb):
+        raise ValueError(f"cardinality mismatch: {len(ta)} vs {len(tb)}")
+    return len(set(ta) & set(tb))
 
 
 def with_squared(
@@ -135,65 +141,51 @@ def matmul_by_definition(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
     )
 
 
-def charpoly_by_cofactors(m: RationalMatrix) -> Polynomial:
-    """det(x*I - m) expanded over polynomial entries: an elimination-free
-    second route to the characteristic polynomial."""
-    n = m.nrows
-
-    def poly_det(entries: list[list[Polynomial]]) -> Polynomial:
-        k = len(entries)
-        if k == 1:
-            return entries[0][0]
-        total = [Fraction(0)] * (k + 1)
-        for j, p in enumerate(entries[0]):
-            if p.is_zero:
-                continue
-            minor = [[row[c] for c in range(k) if c != j] for row in entries[1:]]
-            for i, c in enumerate((p * poly_det(minor)).coeffs):
-                total[i] += (-1) ** j * c
-        return Polynomial(total)
-
-    entries = [
-        [
-            Polynomial([-m[i, j], 1]) if i == j else Polynomial([-m[i, j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return poly_det(entries)
+X = sympy.Symbol("x")
 
 
-def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Schoolbook long division: (q, r) with p = q*d + r and deg r < deg d."""
-    if d.is_zero:
+def to_poly(coeffs: Sequence[Fraction | int]) -> sympy.Poly:
+    """The sympy polynomial with the given ascending coefficients."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], X)
+
+
+def from_poly(p: sympy.Poly) -> tuple[Fraction, ...]:
+    """Ascending Fraction coefficients of a sympy polynomial; zero is (0,)."""
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def poly_from_roots(roots: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the monic polynomial prod (x - r)."""
+    factors = [X - sympy.Rational(r.numerator, r.denominator) for r in roots]
+    return from_poly(sympy.Poly(sympy.prod(factors), X))
+
+
+def charpoly_by_cofactors(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """det(x*I - m) by Laplace expansion over polynomial entries, in sympy:
+    an elimination-free second route to the characteristic polynomial."""
+    det = (X * sympy.eye(m.nrows) - to_sympy(m)).det(method="laplace")
+    return from_poly(sympy.Poly(det, X))
+
+
+def poly_divmod(
+    p: Sequence[Fraction | int], d: Sequence[Fraction | int]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(q, r) with p = q*d + r and deg r < deg d, as ascending coefficients."""
+    if not any(d):
         raise ValueError("polynomial division by zero")
-    rem = list(p.coeffs)
-    dc = d.coeffs
-    dd = len(dc) - 1
-    qlen = len(rem) - dd
-    if qlen <= 0:
-        return Polynomial([0]), Polynomial(rem)
-    quot = [Fraction(0)] * qlen
-    for i in range(qlen - 1, -1, -1):
-        f = rem[i + dd] / dc[-1]
-        quot[i] = f
-        if f:
-            for j, c in enumerate(dc):
-                rem[i + j] -= f * c
-    return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
+    q, r = sympy.div(to_poly(p), to_poly(d))
+    return from_poly(q), from_poly(r)
 
 
-def poly_divides(d: Polynomial, p: Polynomial) -> bool:
+def poly_divides(d: Sequence[Fraction | int], p: Sequence[Fraction | int]) -> bool:
     """True iff d divides p exactly (zero remainder)."""
-    if d.is_zero:
-        raise ValueError("zero divisor polynomial")
-    return poly_divmod(p, d)[1].is_zero
+    return not any(poly_divmod(p, d)[1])
 
 
-def evaluate_at_matrix(p: Polynomial, m: RationalMatrix) -> sympy.Matrix:
+def evaluate_at_matrix(p: Sequence[Fraction | int], m: RationalMatrix) -> sympy.Matrix:
     """Horner evaluation, in sympy, of p with the square matrix m for x."""
     acc, x, one = sympy.zeros(m.nrows), to_sympy(m), sympy.eye(m.nrows)
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x + sympy.Rational(c.numerator, c.denominator) * one
     return acc
 
@@ -242,7 +234,7 @@ def fd_deviation_by_edge(
     worst = largest = 0.0
     for i, face in enumerate(faces):
         fs = set(face)
-        fvol = math.sqrt(float(squared_volume(E, face)))
+        fvol = _float_face_volume(base_sq, face)
         for j, edge in enumerate(edges):
             if not fs.issuperset(edge):
                 continue

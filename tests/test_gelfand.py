@@ -4,6 +4,7 @@ from math import comb
 import pytest
 import sympy
 
+import facevol.gelfand as gelfand_mod
 from facevol.gelfand import (
     check_commutative,
     eigenspace_dimensions,
@@ -43,6 +44,15 @@ class TestCommutativity:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_commutative(self, n):
         assert check_commutative(n)
+
+    def test_symmetric_product_of_a_nonsymmetric_pair_proves_nothing(self, monkeypatch):
+        # A1 A2 is symmetric but A2 A1 differs: the symmetry of the factors
+        # is what turns the one product into a proof.
+        a1 = RationalMatrix([[0, 1], [0, 0]])
+        a2 = a1.transpose()
+        assert (a1 @ a2).is_symmetric() and a1 @ a2 != a2 @ a1
+        monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: (identity(2), a1, a2))
+        assert not check_commutative(4)
 
     def test_nonsymmetric_control_breaks_it(self):
         _, a1, _ = orbital_matrices(4)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from facevol.linalg import (
     _PRIME,
-    Polynomial,
     RationalMatrix,
     _rank_mod_p,
     char_poly,
@@ -125,15 +124,15 @@ class TestAdjugate:
 class TestCharPoly:
     def test_identity_2x2(self):
         # x^2 - 2x + 1
-        assert char_poly(identity(2)) == Polynomial([1, -2, 1])
+        assert char_poly(identity(2)) == (1, -2, 1)
 
     def test_zero_2x2(self):
-        assert char_poly(RationalMatrix([[0, 0], [0, 0]])) == Polynomial([0, 0, 1])
+        assert char_poly(RationalMatrix([[0, 0], [0, 0]])) == (0, 0, 1)
 
     def test_divisor_n4(self):
         # x^3 - 14x^2 + 49x - 36, cross-checked by polynomial cofactor expansion
         d = divisor_matrix(4)
-        expected = Polynomial([-36, 49, -14, 1])
+        expected = (-36, 49, -14, 1)
         assert charpoly_by_cofactors(d) == expected
         assert char_poly(d) == expected
 
@@ -247,34 +246,32 @@ class TestEigenMultiplicity:
 
 class TestPolynomials:
     def test_divides_trivial(self):
-        assert poly_divides(Polynomial([-1, 1]), Polynomial([-1, 0, 1]))
-        assert not poly_divides(Polynomial([0, 0, 1]), Polynomial([0, 1]))
+        assert poly_divides((-1, 1), (-1, 0, 1))
+        assert not poly_divides((0, 0, 1), (0, 1))
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
-            poly_divides(Polynomial([0]), Polynomial([1, 1]))
+            poly_divides((0,), (1, 1))
 
     def test_divisor_charpoly_divides_gram_charpoly(self):
         assert poly_divides(char_poly(divisor_matrix(4)), char_poly(build_gram(4)))
 
-    def test_from_roots(self):
-        assert Polynomial.from_roots([1, 1]) == Polynomial([1, -2, 1])
-
-    def test_normalization(self):
-        assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
-        assert Polynomial([0, 0]).is_zero
-        assert Polynomial([0]).coeffs == (0,)
-
     @given(
-        st.lists(rationals(), min_size=1, max_size=5).map(Polynomial),
-        st.lists(rationals(), min_size=1, max_size=4).map(Polynomial),
+        st.lists(rationals(), min_size=1, max_size=5),
+        st.lists(rationals(), min_size=1, max_size=4),
     )
     def test_divmod_reconstructs(self, p, d):
-        if d.is_zero:
+        if not any(d):
             return
         q, r = poly_divmod(p, d)
-        assert q * d == Polynomial(a - b for a, b in zip_longest(p.coeffs, r.coeffs, fillvalue=0))
-        assert r.is_zero or len(r.coeffs) < len(d.coeffs)
+        qd = [Fraction(0)] * (len(q) + len(d) - 1)
+        for i, a in enumerate(q):
+            for j, b in enumerate(d):
+                qd[i + j] += a * b
+        p_minus_r = [a - b for a, b in zip_longest(p, r, fillvalue=0)]
+        assert all(a == b for a, b in zip_longest(qd, p_minus_r, fillvalue=0))
+        degree_d = max(i for i, c in enumerate(d) if c)
+        assert not any(r) or len(r) - 1 < degree_d
 
 
 class TestRationalFormat:

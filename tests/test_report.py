@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import facevol.gelfand as gelfand_mod
 import facevol.jacobian as jacobian_mod
 import facevol.linalg as linalg_mod
 import facevol.report as report_mod
 import facevol.spectral as spectral_mod
 from facevol.cli import main
 from facevol.exceptions import IntegrityError
-from facevol.gelfand import check_commutative
+from facevol.gelfand import OrbitalMatrices, check_commutative, orbital_matrices
 from facevol.geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
@@ -33,7 +34,7 @@ from facevol.report import (
     verify_single,
 )
 from facevol.spectral import build_gram
-from facevol.subsets import intersection_class, subsets_colex
+from facevol.subsets import build_incidence_matrix, intersection_classes
 
 from oracles import with_squared
 
@@ -71,11 +72,29 @@ def perturb_divisor_closed_form(monkeypatch):
 
 
 def misclassify_one_pair(monkeypatch):
-    pair = subsets_colex(6, 4)[:2]
-    monkeypatch.setattr(
-        spectral_mod, "intersection_class", lambda f, g: intersection_class(f, g) + ((f, g) == pair)
-    )
+    table = [list(row) for row in intersection_classes(5)]
+    table[0][1] += 1
+    monkeypatch.setattr(spectral_mod, "intersection_classes", lambda n: table)
     return "gram_consistency", "Gram matrix disagrees with the intersection-class rule"
+
+
+def _flipped_a2(monkeypatch, entries):
+    """Serve orbital matrices whose A2 has the given entries flipped."""
+    a0, a1, a2 = orbital_matrices(5)
+    num = [list(row) for row in a2.num]
+    for i, j in entries:
+        num[i][j] = 1 - num[i][j]
+    flipped = OrbitalMatrices(a0, a1, RationalMatrix._from_ints(num, 1))
+    monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: flipped)
+    return "orbital_commutativity", "class indicator matrices commute"
+
+
+def asymmetric_a2(monkeypatch):
+    return _flipped_a2(monkeypatch, [(0, 1)])
+
+
+def noncommuting_a2(monkeypatch):
+    return _flipped_a2(monkeypatch, [(0, 1), (1, 0)])
 
 
 def break_fd_crosscheck(monkeypatch):
@@ -227,7 +246,14 @@ class TestPipeline:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fault", [flip_reversed_rank, perturb_divisor_closed_form, misclassify_one_pair]
+        "fault",
+        [
+            flip_reversed_rank,
+            perturb_divisor_closed_form,
+            misclassify_one_pair,
+            asymmetric_a2,
+            noncommuting_a2,
+        ],
     )
     def test_stage_fault_fails_its_check(self, cold_memos, monkeypatch, capsys, fault):
         check, message = fault(monkeypatch)
@@ -330,6 +356,23 @@ class TestComputeOnce:
         verify_single(5, samples=2, seed=3)
         assert len(calls[jacobian_squared_map]) == 3
         assert [m.nrows for (m,) in calls[det_adjugate]] == [7] * 3
+
+    def test_orbit_algebra_built_once(self, monkeypatch):
+        """The Gram rule and the orbital matrices read one intersection-class
+        table, and commutativity takes one product: the side-21 products are
+        M M^T and A1 A2 only."""
+        record_calls(monkeypatch, ())
+        products = []
+        matmul = RationalMatrix.__matmul__
+        monkeypatch.setattr(
+            RationalMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b)
+        )
+        verify_single(6, samples=2, seed=3)
+        assert intersection_classes.cache_info().misses == 1
+        m = build_incidence_matrix(6)
+        _, a1, a2 = orbital_matrices(6)
+        side_21 = [(a, b) for a, b in products if a.nrows == 21 and b.ncols == 21]
+        assert side_21 == [(m, m.transpose()), (a1, a2)]
 
     def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
         """The Gram char poly is never computed: its divisibility is read off

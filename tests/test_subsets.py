@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from facevol.subsets import (
     build_incidence_matrix,
-    intersection_class,
+    intersection_classes,
     orbit_partition,
     subsets_colex,
     unrank_subset,
 )
 
-from oracles import identity, rank_subset
+from oracles import identity, intersection_class, rank_subset
 
 
 class TestRanking:
@@ -77,6 +77,17 @@ class TestIntersectionClass:
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError):
             intersection_class((1, 2, 3), (1, 2))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_table_lists_every_pair(self, n):
+        faces = subsets_colex(n + 1, n - 1)
+        assert intersection_classes(n) == tuple(
+            tuple(intersection_class(f, g) for g in faces) for f in faces
+        )
+
+    def test_table_rejects_n2(self):
+        with pytest.raises(ValueError):
+            intersection_classes(2)
 
 
 class TestIncidenceMatrix:
