@@ -70,6 +70,7 @@ from .spectral import (
     divisor_divides,
     divisor_eigenpairs,
     divisor_matrix,
+    eigenbasis,
     full_spectrum,
 )
 from .subsets import (
@@ -129,6 +130,7 @@ __all__ = [
     "divisor_divides",
     "divisor_eigenpairs",
     "divisor_matrix",
+    "eigenbasis",
     "full_spectrum",
     "build_incidence_matrix",
     "intersection_classes",

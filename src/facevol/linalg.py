@@ -7,7 +7,9 @@ an entry, the ``rows`` view, a trace, a matrix-vector product or a kernel
 result. Everything here is exact; there is no floating-point code path in
 this module.
 
-- products multiply the integer rows and the denominators;
+- products multiply the integer rows and the denominators, in numpy int64
+  when a bound on the entries proves that no sum can overflow, and in Python
+  integers otherwise;
 - determinants and ranks use one-step Bareiss fraction-free elimination on the
   integer rows, so intermediate values stay integer minors of bounded size
   instead of rationals with growing gcd cost;
@@ -20,8 +22,8 @@ this module.
   elimination on ``[num | I]``;
 - characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``
   and come back as a tuple of coefficients; the certification takes one of
-  the 3x3 orbit divisor only, because the Gram spectrum is certified by exact
-  nullities instead.
+  the 3x3 orbit divisor only, because the Gram spectrum is certified by
+  explicit eigenvectors instead.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ import numpy as np
 # The modulus of the full-rank proof. Residues are below 2^31, so a product of
 # two of them stays below 2^62 and int64 elimination cannot overflow.
 _PRIME = 2**31 - 1
+# A product of integer matrices with inner dimension k is exact in int64 when
+# max|a| * max|b| * k < 2^63: every partial sum of an entry has at most k
+# terms, each of size at most max|a| * max|b|, so none overflows.
+_INT64_BOUND = 2**63
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -147,19 +153,16 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self.num == tuple(zip(*self.num))
 
-    def shifted(self, lam: Fraction | int) -> "RationalMatrix":
-        """self - lam * I."""
-        if self.nrows != self.ncols:
-            raise ValueError("shift needs a square matrix")
-        p, q = lam.numerator, lam.denominator
-        num = [[q * x for x in row] for row in self.num]
-        for i, row in enumerate(num):
-            row[i] -= p * self.den
-        return self._from_ints(num, q * self.den)
-
 
 def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The product of two integer matrices given as rows."""
+    """The product of two integer matrices given as rows; in numpy int64 when
+    the entries are small enough for that to be exact."""
+    # Taking both maxima at least 1 keeps every entry itself below 2^63 too.
+    k = len(b)
+    top_a = max(1, max(map(abs, chain.from_iterable(a))))
+    top_b = max(1, max(map(abs, chain.from_iterable(b))))
+    if top_a * top_b * k < _INT64_BOUND:
+        return (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)).tolist()
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 

@@ -2,15 +2,20 @@
 3x3 orbit divisor, and the fully certified spectrum of the Gram matrix.
 
 Eigenvalue candidates come cheaply from the 3x3 divisor, whose characteristic
-polynomial is the only one computed. The multiplicity of each candidate is
-then certified as an exact nullity of the big matrix, and the certificate is
-accepted only if the multiplicities exhaust the dimension and satisfy the
-trace and determinant identities. Nullities of distinct eigenvalues that sum
-to the dimension make the Gram matrix diagonalizable with exactly those
-eigenvalues, so its characteristic polynomial is prod (x - lam_i)^m_i; the
-divisibility by the divisor's characteristic polynomial is read off the
-certified multiplicities. Computed values are authoritative; disagreements
-with the claimed closed forms are recorded as discrepancies.
+polynomial is the only one computed. A codim-2 face is the complement of a
+vertex pair, so the Gram matrix lies in the Bose-Mesner algebra of the Johnson
+scheme J(n+1, 2), and each of its three eigenspaces has an explicit integer
+spanning set (Delsarte 1973; Brouwer & Haemers, *Spectra of Graphs*, the
+triangular graph T(n+1)). Every vector of these families is checked to be an
+exact eigenvector, and each family is proved independent by one full-rank
+`rank`, which gives a lower bound on each multiplicity. Eigenvectors of
+distinct eigenvalues are independent, so lower bounds that sum to the
+dimension are exact, and the Gram matrix is diagonalizable with
+characteristic polynomial prod (x - lam_i)^m_i; the divisibility by the
+divisor's characteristic polynomial is read off the certified multiplicities.
+The trace and the product of the eigenvalues are then compared with the trace
+of G and with (det M)^2. Computed values are authoritative; disagreements with
+the claimed closed forms are recorded as discrepancies.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .subsets import (
     build_incidence_matrix,
     intersection_classes,
     orbit_partition,
+    subsets_colex,
     unrank_subset,
 )
 
@@ -202,10 +208,82 @@ def det_incidence(n: int) -> Fraction:
     return det_fraction_free(build_incidence_matrix(n))
 
 
-@lru_cache(maxsize=1)
-def det_gram(n: int) -> Fraction:
-    """Exact determinant of the Gram matrix."""
-    return det_fraction_free(build_gram(n))
+# A sparse integer vector indexed by face: (colex rank, coefficient) pairs.
+SparseVector = tuple[tuple[int, int], ...]
+
+
+def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
+    """Explicit integer eigenvector families of the Gram matrix, as
+    (eigenvalue, vectors) in descending eigenvalue order: one spanning set
+    per eigenspace of the Johnson scheme J(n+1, 2).
+
+    A face is the complement of a vertex pair {s, t} of 1..m, m = n + 1, and
+    a vector takes its value on the face from that pair:
+    - C(n-1,2)^2: the all-ones vector;
+    - (n-2)^2: for a = 1..n, x({s,t}) = g(s) + g(t) with g = e_a - e_m;
+    - 1: signed 4-cycles a-b-c-d, +1 on the pairs ab and cd and -1 on bc and
+      da, for the cycles 1-c-d-2 (3 <= c < d <= m) and 1-3-2-c (4 <= c <= m).
+      They lie in the kernel of the unsigned vertex-pair incidence matrix of
+      K_m, which has dimension C(m,2) - m (Godsil & Royle, *Algebraic Graph
+      Theory* ch. 8).
+    The family sizes are 1, n and (n+1)(n-2)/2, which sum to C(n+1,2). At
+    n = 3 the three eigenvalues all equal 1.
+    """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    m = n + 1
+    vertices = set(range(1, m + 1))
+    face = {}
+    for i, f in enumerate(subsets_colex(m, n - 1)):
+        s, t = vertices.difference(f)
+        face[s, t] = face[t, s] = i
+
+    def cycle(a: int, b: int, c: int, d: int) -> SparseVector:
+        return ((face[a, b], 1), (face[c, d], 1), (face[b, c], -1), (face[d, a], -1))
+
+    ones = (tuple((i, 1) for i in range(comb(m, 2))),)
+    stars = tuple(
+        tuple(p for s in range(1, m) if s != a for p in ((face[a, s], 1), (face[s, m], -1)))
+        for a in range(1, m)
+    )
+    cycles = tuple(
+        cycle(1, c, d, 2) for c in range(3, m + 1) for d in range(c + 1, m + 1)
+    ) + tuple(cycle(1, 3, 2, c) for c in range(4, m + 1))
+    return (
+        (Fraction(comb(n - 1, 2) ** 2), ones),
+        (Fraction((n - 2) ** 2), stars),
+        (Fraction(1), cycles),
+    )
+
+
+def _certify_family(
+    n: int, gram: RationalMatrix, lam: Fraction, vectors: tuple[SparseVector, ...]
+) -> EigenvalueWitness:
+    """A lower bound on the multiplicity of lam: the family's size, once every
+    vector is an exact eigenvector and the family has full rank."""
+    size = gram.nrows
+    # G x = lam x with lam = p/q and G = num/den reads q (num x) = p den x.
+    # G = M M^T is symmetric, so num x sums the rows of num in the support
+    # of x, times their coefficients.
+    q, target = lam.denominator, lam.numerator * gram.den
+    rows = []
+    for i, x in enumerate(vectors):
+        row, image = [0] * size, [0] * size
+        for j, c in x:
+            row[j] = c
+            image = [u + c * v for u, v in zip(image, gram.num[j])]
+        if any(q * u != target * v for u, v in zip(image, row)):
+            raise IntegrityError(
+                f"basis vector {i} is not an eigenvector for {format_rational(lam)} at n={n}"
+            )
+        rows.append(row)
+    rk = rank(RationalMatrix._from_ints(rows, 1))
+    if rk != len(vectors):
+        raise IntegrityError(
+            f"eigenvectors for {format_rational(lam)} are dependent at n={n}: "
+            f"rank {rk} of {len(vectors)}"
+        )
+    return EigenvalueWitness(lam, rk, size - rk)
 
 
 def _audit_claims(
@@ -260,12 +338,13 @@ def _audit_claims(
 def full_spectrum(n: int) -> SpectrumCertificate:
     """Complete certified spectrum of the Gram matrix for n >= 4.
 
-    Candidates are the divisor eigenvalues; each multiplicity is an exact
-    nullity with its rank witness. The certificate is rejected unless the
-    multiplicities sum to the dimension and the trace and determinant
-    identities close. A rejection is remembered like a result, so every
-    check that needs the spectrum of a failing n gets the same error
-    without certifying again.
+    Candidates are the divisor eigenvalues; each multiplicity is the size of
+    an explicit eigenvector family that is verified exactly and proved
+    independent, and its rank witness is the dimension minus it. The
+    certificate is rejected unless the multiplicities sum to the dimension
+    and the trace and determinant identities close. A rejection is
+    remembered like a result, so every check that needs the spectrum of a
+    failing n gets the same error without certifying again.
     """
     result = _spectrum_or_error(n)
     if isinstance(result, SpectrumCertificate):
@@ -298,27 +377,35 @@ def _certify_spectrum(n: int) -> SpectrumCertificate:
     from_roots = [Fraction(1)]
     for lam in lams:
         from_roots = [a - lam * b for a, b in zip([0] + from_roots, from_roots + [0])]
-    # Nullities of distinct eigenvalues that sum to the size below make the
-    # Gram matrix diagonalizable, with char poly prod (x - lam)^multiplicity.
+    # Distinct eigenvalues keep the families below independent of one another,
+    # and char D = prod (x - lam) is what divisor_divides reads.
     if len(set(lams)) != len(lams) or char_poly(divisor) != tuple(from_roots):
         raise IntegrityError(f"divisor eigenvalues are not distinct and complete at n={n}")
-    size = gram.nrows
-    witnesses = []
-    for lam in lams:
-        rk = rank(gram.shifted(lam))
-        witnesses.append(EigenvalueWitness(lam, size - rk, rk))
-    if sum(w.multiplicity for w in witnesses) != size:
-        raise IntegrityError(f"multiplicities do not exhaust the spectrum at n={n}")
-    if sum((w.value * w.multiplicity for w in witnesses), Fraction(0)) != gram.trace():
-        raise IntegrityError(f"trace identity failed at n={n}")
+    families = eigenbasis(n)
+    if [lam for lam, _ in families] != lams:
+        raise IntegrityError(f"eigenvector families miss the divisor eigenvalues at n={n}")
+    # Each family bounds its multiplicity from below. Eigenvectors of distinct
+    # eigenvalues are independent, so bounds that sum to the size are exact.
+    witnesses = [_certify_family(n, gram, lam, vectors) for lam, vectors in families]
+    size, total = gram.nrows, sum(w.multiplicity for w in witnesses)
+    if total != size:
+        raise IntegrityError(f"multiplicities sum to {total}, not {size}, at n={n}")
+    trace, expected = sum(w.value * w.multiplicity for w in witnesses), gram.trace()
+    if trace != expected:
+        raise IntegrityError(
+            f"trace identity failed at n={n}: "
+            f"{format_rational(trace)} != {format_rational(expected)}"
+        )
+    # G = M M^T (build_gram proves it), so det G = (det M)^2.
     prod = Fraction(1)
     for w in witnesses:
         prod *= w.value**w.multiplicity
-    if prod != det_gram(n):
-        raise IntegrityError(f"eigenvalue product does not match det at n={n}")
     det_m = det_incidence(n)
-    if det_m * det_m != det_gram(n):
-        raise IntegrityError(f"incidence determinant squared mismatch at n={n}")
+    if prod != det_m * det_m:
+        raise IntegrityError(
+            f"eigenvalue product {format_rational(prod)} != (det M)^2 "
+            f"{format_rational(det_m * det_m)} at n={n}"
+        )
     det_abs = abs(det_m)
     discrepancies = _audit_claims(
         n,

@@ -58,6 +58,23 @@ def identity(k: int) -> RationalMatrix:
     return RationalMatrix([[int(i == j) for j in range(k)] for i in range(k)])
 
 
+def shifted(m: RationalMatrix, lam: Fraction | int) -> RationalMatrix:
+    """m - lam * I, entry by entry."""
+    if m.nrows != m.ncols:
+        raise ValueError("shift needs a square matrix")
+    return RationalMatrix(
+        [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    )
+
+
+def dense(x: Sequence[tuple[int, int]], size: int) -> list[int]:
+    """The dense row of a sparse vector given as (index, value) pairs."""
+    row = [0] * size
+    for j, c in x:
+        row[j] = c
+    return row
+
+
 def rank_subset(n_total: int, s: Sequence[int]) -> int:
     """Colex rank of a k-subset; inverse of ``unrank_subset``."""
     t = validate_subset(n_total, s)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import facevol.linalg as linalg_mod
 from facevol.linalg import (
     _PRIME,
     RationalMatrix,
@@ -31,6 +32,7 @@ from oracles import (
     poly_divides,
     poly_divmod,
     rationals,
+    shifted,
     square_matrices,
     sympy_rank,
 )
@@ -168,9 +170,9 @@ class TestRank:
         assert rank(RationalMatrix([[1, 1, 1]] * 3)) == 1
 
     def test_gram_shift_nullity(self):
-        shifted = build_gram(4).shifted(1)
-        assert sympy_rank(shifted) == 5
-        assert rank(shifted) == 5
+        gram_shift = shifted(build_gram(4), 1)
+        assert sympy_rank(gram_shift) == 5
+        assert rank(gram_shift) == 5
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -236,12 +238,12 @@ class TestRank:
 
 class TestEigenMultiplicity:
     def test_identity(self):
-        assert 4 - rank(identity(4).shifted(1)) == 4
+        assert 4 - rank(shifted(identity(4), 1)) == 4
 
     def test_gram_n4(self):
         gram = build_gram(4)
-        assert gram.nrows - rank(gram.shifted(4)) == 4
-        assert gram.nrows - rank(gram.shifted(7)) == 0
+        assert gram.nrows - rank(shifted(gram, 4)) == 4
+        assert gram.nrows - rank(shifted(gram, 7)) == 0
 
 
 class TestPolynomials:
@@ -310,6 +312,31 @@ class TestMatrixBasics:
         a, b = ab
         assert a @ b == matmul_by_definition(a, b)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("above, int64", [(0, True), (1, False)])
+    def test_matmul_at_the_int64_bound(self, monkeypatch, sign, above, int64):
+        """max|a| * max|b| * k just below 2^63 multiplies in int64 and stays
+        exact; one more step takes Python integers, where int64 would wrap."""
+        k, top_a = 3, 2**31
+        top_b = (2**63 - 1) // (k * top_a) + above
+        a = RationalMatrix([[sign * top_a] * k] * 2)
+        b = RationalMatrix([[top_b] * 2] * k)
+        arrays = []
+        array = linalg_mod.np.array
+        monkeypatch.setattr(
+            linalg_mod.np, "array", lambda *args, **kw: arrays.append(args) or array(*args, **kw)
+        )
+        product = a @ b
+        assert bool(arrays) == int64
+        assert product == matmul_by_definition(a, b)
+        assert abs(product[0, 0]) >= 2**63 - 2**33
+
+    @given(st.integers(1, 3), st.integers(63, 70), st.randoms(use_true_random=False))
+    def test_matmul_with_wide_entries_agrees_with_definition(self, k, bits, rng):
+        a = RationalMatrix([[rng.randint(-(2**bits), 2**bits) for _ in range(k)] for _ in range(2)])
+        b = RationalMatrix([[rng.randint(-9, 9) for _ in range(2)] for _ in range(k)])
+        assert a @ b == matmul_by_definition(a, b)
+
     def test_matmul_shape_check(self):
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2]]) @ RationalMatrix([[1, 2]])
@@ -326,7 +353,7 @@ class TestMatrixBasics:
 
     def test_shifted(self):
         m = RationalMatrix([[2, 1], [1, 2]])
-        assert m.shifted(2) == RationalMatrix([[0, 1], [1, 0]])
+        assert shifted(m, 2) == RationalMatrix([[0, 1], [1, 0]])
 
 
 shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
@@ -390,12 +417,12 @@ class TestRepresentation:
         assert scaled.rows == tuple(tuple(c * x for x in row) for row in rows)
         self.assert_lowest_terms(scaled)
         if m.nrows == m.ncols:
-            shifted = m.shifted(c)
-            assert shifted.rows == tuple(
+            diagonal = shifted(m, c)
+            assert diagonal.rows == tuple(
                 tuple(x - c if i == j else x for j, x in enumerate(row))
                 for i, row in enumerate(rows)
             )
-            self.assert_lowest_terms(shifted)
+            self.assert_lowest_terms(diagonal)
 
     @given(any_rows)
     def test_transpose_trace_and_mul_vector(self, rows):

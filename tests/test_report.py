@@ -23,7 +23,7 @@ from facevol.jacobian import (
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import RationalMatrix, char_poly, det_adjugate, rank
+from facevol.linalg import RationalMatrix, char_poly, det_adjugate, det_fraction_free, rank
 from facevol.report import (
     CheckResult,
     RunConfig,
@@ -33,10 +33,10 @@ from facevol.report import (
     serialize_reports,
     verify_single,
 )
-from facevol.spectral import build_gram
+from facevol.spectral import build_gram, full_spectrum
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
-from oracles import with_squared
+from oracles import dense, with_squared
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,40 @@ def asymmetric_a2(monkeypatch):
 
 def noncommuting_a2(monkeypatch):
     return _flipped_a2(monkeypatch, [(0, 1), (1, 0)])
+
+
+def family_matrix(n, which):
+    """The dense integer rows of one eigenvector family of the Gram matrix."""
+    size = build_gram(n).nrows
+    return RationalMatrix([dense(x, size) for x in spectral_mod.eigenbasis(n)[which][1]])
+
+
+def _tampered_eigenbasis(monkeypatch, which, tamper):
+    """Serve eigenvector families at n = 5 whose family `which` is tampered
+    with."""
+    families = [list(f) for f in spectral_mod.eigenbasis(5)]
+    families[which][1] = tamper(list(families[which][1]))
+    monkeypatch.setattr(spectral_mod, "eigenbasis", lambda n: families)
+
+
+def wrong_basis_vector(monkeypatch):
+    def tamper(vectors):
+        (j, c), *rest = vectors[2]
+        vectors[2] = ((j, -c), *rest)
+        return vectors
+
+    _tampered_eigenbasis(monkeypatch, 1, tamper)
+    return "spectrum_certificate", "basis vector 2 is not an eigenvector for 9 at n=5"
+
+
+def dependent_family(monkeypatch):
+    _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1] + vectors[:1])
+    return "spectrum_certificate", "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
+
+
+def short_count(monkeypatch):
+    _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1])
+    return "spectrum_certificate", "multiplicities sum to 14, not 15, at n=5"
 
 
 def break_fd_crosscheck(monkeypatch):
@@ -196,20 +230,20 @@ class TestPipeline:
     def test_underreported_nullity_fails_divisibility_and_spectrum(
         self, cold_memos, monkeypatch, capsys
     ):
-        """A rank witness that under-reports the nullity of eigenvalue 1 breaks
-        the certificate, and every check that needs the spectrum fails with
-        its message. The rejection is remembered like a result: the five
+        """A rank that under-reports the eigenvector family of eigenvalue 1
+        breaks the certificate, and every check that needs the spectrum fails
+        with its message. The rejection is remembered like a result: the five
         checks share one attempt, three spectral ranks."""
-        shifted = build_gram(5).shifted(1)
+        unit_family = family_matrix(5, 2)
         calls = []
         monkeypatch.setattr(
-            spectral_mod, "rank", lambda m: calls.append(m) or rank(m) + (m == shifted)
+            spectral_mod, "rank", lambda m: calls.append(m) or rank(m) - (m == unit_family)
         )
         failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
         assert len(calls) == 3
         spectral_checks = ("divisor_char_poly_divides", "spectrum_certificate")
         gelfand_checks = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
-        message = "multiplicities do not exhaust the spectrum at n=5"
+        message = "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
         assert failed == dict.fromkeys(spectral_checks + gelfand_checks, message)
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
@@ -253,6 +287,9 @@ class TestPipeline:
             misclassify_one_pair,
             asymmetric_a2,
             noncommuting_a2,
+            wrong_basis_vector,
+            dependent_family,
+            short_count,
         ],
     )
     def test_stage_fault_fails_its_check(self, cold_memos, monkeypatch, capsys, fault):
@@ -324,7 +361,7 @@ class TestComputeOnce:
     def test_full_rank_jacobians_skip_bareiss(self, monkeypatch):
         """Every Jacobian rank, regular and sampled, forward and reversed, is
         proved mod p: no Bareiss elimination runs inside one, while it still
-        runs for the rank-deficient spectral shifts."""
+        runs for the determinants."""
         record_calls(monkeypatch, ())
         jacobians, open_ranks, leaked, eliminated = [], [], [], []
 
@@ -348,6 +385,21 @@ class TestComputeOnce:
         assert all(m.den != 1 for m in jacobians)
         assert eliminated
         assert not leaked, f"{len(leaked)} Jacobian ranks fell back to Bareiss"
+
+    @pytest.mark.parametrize("n", [4, 7, 9])
+    def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
+        """A cold full_spectrum takes one fraction-free elimination, det M:
+        the three eigenvector families are proved independent mod p, and det G
+        is never computed."""
+        calls = record_calls(monkeypatch, (det_fraction_free,))
+        eliminated = []
+        bareiss = linalg_mod._bareiss
+        monkeypatch.setattr(
+            linalg_mod, "_bareiss", lambda a: eliminated.append(len(a)) or bareiss(a)
+        )
+        full_spectrum(n)
+        assert calls[det_fraction_free] == [(build_incidence_matrix(n),)]
+        assert eliminated == [build_gram(n).nrows]
 
     def test_one_adjugate_per_jacobian(self, monkeypatch):
         """Each Jacobian takes one adjugate, of the whole simplex's
@@ -482,7 +534,8 @@ class TestGolden:
     `python -m facevol --n-range 3:8 --seed 42 --samples 3 --output
     tests/golden` (and again with `--format markdown`). CI also compares
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
-    --samples 3 --output tests/golden/verify_n16.json`."""
+    --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`,
+    written the same way with `--n 20 --max-n 24`."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_reports_are_byte_identical(self, n):

@@ -19,6 +19,7 @@ from facevol.spectral import (
     divisor_divides,
     divisor_eigenpairs,
     divisor_matrix,
+    eigenbasis,
     full_spectrum,
     spectrum_summary,
 )
@@ -30,11 +31,14 @@ from facevol.subsets import (
 )
 
 from oracles import (
+    bareiss_rank,
+    dense,
     identity,
     intersection_class,
     poly_divides,
     poly_from_roots,
     rank_subset,
+    shifted,
     sympy_det,
 )
 
@@ -237,6 +241,43 @@ class TestSpectrum:
     def test_rejects_n3(self):
         with pytest.raises(ValueError):
             full_spectrum(3)
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_vector_is_an_eigenvector_of_its_family(self, n):
+        gram = build_gram(n)
+        size = gram.nrows
+        families = eigenbasis(n)
+        assert [lam for lam, _ in families] == [comb(n - 1, 2) ** 2, (n - 2) ** 2, 1]
+        assert [len(vectors) for _, vectors in families] == [1, n, (n + 1) * (n - 2) // 2]
+        for lam, vectors in families:
+            rows = [dense(x, size) for x in vectors]
+            for row in rows:
+                assert any(row)
+                assert gram.mul_vector(row) == tuple(lam * v for v in row)
+            assert bareiss_rank(RationalMatrix(rows)) == len(rows)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_family_sizes_are_the_nullities(self, n):
+        gram = build_gram(n)
+        for lam, vectors in eigenbasis(n):
+            assert len(vectors) == gram.nrows - bareiss_rank(shifted(gram, lam))
+
+    def test_n4_four_cycles(self):
+        faces = subsets_colex(5, 3)
+
+        def pair(s, t):
+            return next(i for i, f in enumerate(faces) if not {s, t} & set(f))
+
+        cycles = eigenbasis(4)[2][1]
+        # 1-3-4-2: +1 on {1,3} and {4,2}, -1 on {3,4} and {2,1}
+        assert dict(cycles[0]) == {pair(1, 3): 1, pair(2, 4): 1, pair(3, 4): -1, pair(1, 2): -1}
+        assert len(cycles) == 5
+
+    def test_rejects_n2(self):
+        with pytest.raises(ValueError):
+            eigenbasis(2)
 
 
 class TestClaimAudit:
