@@ -27,7 +27,6 @@ from .geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
     cayley_menger_matrix,
-    is_nondegenerate,
     squared_volume,
     unit_regular_squared_volume,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "EdgeLengthAssignment",
     "all_codim2_squared_volumes",
     "cayley_menger_matrix",
-    "is_nondegenerate",
     "squared_volume",
     "unit_regular_squared_volume",
     "IndependenceCertificate",

@@ -4,6 +4,8 @@ Everything is computed over squared edge lengths so all values stay rational:
 the squared k-volume of a face is a polynomial in the squared lengths of its
 edges. Unsquared lengths and volumes appear only in the floating-point
 cross-check of the jacobian module. Faces of dimension <= 0 are rejected.
+One fraction-free pass over the whole simplex's Cayley-Menger matrix gives
+its determinant, its adjugate and, by Sylvester's criterion, nondegeneracy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import RationalMatrix, det_fraction_free
+from .linalg import RationalMatrix, det_adjugate, det_fraction_free
 from .subsets import MIN_DIMENSION, subsets_colex, validate_subset
 
 
@@ -84,17 +86,18 @@ def all_codim2_squared_volumes(E: EdgeLengthAssignment) -> tuple[Fraction, ...]:
     return tuple(squared_volume(E, f) for f in subsets_colex(E.n + 1, E.n - 1))
 
 
-def is_nondegenerate(E: EdgeLengthAssignment) -> bool:
-    """True iff every face of every dimension 2..n has positive squared
-    volume (the assignment realizes a full-dimensional simplex).
+def simplex_det_adjugate(E: EdgeLengthAssignment) -> tuple[Fraction, RationalMatrix]:
+    """det D and adj D of the whole simplex's Cayley-Menger matrix D. Raises
+    ValueError unless E is nondegenerate: every face has positive squared volume.
 
-    Checked on the nested chain {1..m}, m = 3..n+1 only: by Sylvester's
-    criterion a positive chain makes the length Gram matrix positive
-    definite, which realizes affinely independent points, and then every
-    face is automatically positive. A failure anywhere forces some chain
-    value to be nonpositive, so the chain decides the full predicate.
-    """
-    for m in range(3, E.n + 2):
-        if squared_volume(E, tuple(range(1, m + 1))) <= 0:
-            return False
-    return True
+    Rows 0 and 1 of D swapped (P D) give leading minors -det CM{1..k}, so the
+    chain face {1..k} is positive iff minor k has the sign (-1)^(k+1). By
+    Sylvester's criterion a positive chain k = 3..n+1 makes every face
+    positive, and a failure anywhere makes some chain value nonpositive."""
+    d = cayley_menger_matrix(E, range(1, E.n + 2))
+    minors, adj = det_adjugate(RationalMatrix._from_ints((d.num[1], d.num[0], *d.num[2:]), d.den))
+    if any((-1) ** (k + 1) * minors[k] <= 0 for k in range(3, E.n + 2)):
+        raise ValueError("degenerate edge-length assignment")
+    # adj(P D) = adj(D) adj(P) = -adj(D) P: negate, and swap columns 0 and 1 back.
+    adj_d = ([-row[1], -row[0], *(-x for x in row[2:])] for row in adj.num)
+    return -minors[-1], RationalMatrix._from_ints(adj_d, adj.den)

@@ -10,7 +10,8 @@ T = {s, t}, so its C is the principal submatrix of the whole simplex's
 Cayley-Menger matrix D with rows and columns T deleted. The whole Jacobian
 therefore comes from one exact adjugate of D: by Jacobi's complementary-minor
 identity and the Schur complement of D^-1, adj(C)_ba is the 3x3 minor of
-adj(D) on rows {b, s, t} and columns {a, s, t}, divided by det(D)^2.
+adj(D) on rows {b, s, t} and columns {a, s, t}, divided by det(D)^2. The
+elimination that gives adj(D) also decides that the point is nondegenerate.
 
 Working in squared coordinates keeps every derivative rational. Full rank of
 the squared-coordinate Jacobian at a nondegenerate point transfers to the
@@ -35,11 +36,10 @@ from .exceptions import IntegrityError
 from .geometry import (
     EdgeLengthAssignment,
     _cm_constant,
-    cayley_menger_matrix,
-    is_nondegenerate,
+    simplex_det_adjugate,
     unit_regular_squared_volume,
 )
-from .linalg import RationalMatrix, det_adjugate, rank
+from .linalg import RationalMatrix, rank
 from .subsets import subsets_colex
 
 RANK_TRANSFER_NOTE = (
@@ -63,13 +63,9 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     c det C for the face's dimension, and minor is the 3x3 minor of adj(D)
     on rows {w, s, t} and columns {u, s, t} (Horn & Johnson, *Matrix
     Analysis* §0.8.4)."""
-    # Nondegenerate means every face has nonzero volume; the last face of the
-    # chain it checks is the whole simplex, so D is nonsingular.
-    if not is_nondegenerate(E):
-        raise ValueError("degenerate edge-length assignment")
     n = E.n
     vertices = range(1, n + 2)
-    delta, adj = det_adjugate(cayley_menger_matrix(E, vertices))
+    delta, adj = simplex_det_adjugate(E)
     p = adj.num
     # adj(D) = p / q, so entry = 2c * minor(p) * delta.den^2 / (q^3 * delta.num^2),
     # with one denominator for the whole matrix.
@@ -135,19 +131,21 @@ def _sample_point(n: int, rng: random.Random) -> EdgeLengthAssignment:
     return EdgeLengthAssignment(n, sq)
 
 
-def _verified_rank(jac: RationalMatrix) -> int:
-    """Rank, re-verified under a reversed elimination order."""
-    r = rank(jac)
+def _verified_rank(jac: RationalMatrix, point: str) -> int:
+    """Rank of the Jacobian at ``point``, re-verified in reversed order."""
     reversed_jac = RationalMatrix._from_ints((row[::-1] for row in jac.num[::-1]), jac.den)
-    if rank(reversed_jac) != r:
-        raise IntegrityError("rank witness failed re-verification")
+    r, r_reversed = rank(jac), rank(reversed_jac)
+    if r_reversed != r:
+        raise IntegrityError(
+            f"rank witness failed re-verification at {point}: rank {r}, reversed {r_reversed}"
+        )
     return r
 
 
 @lru_cache(maxsize=1)
 def regular_rank(n: int) -> int:
     """The verified rank of the Jacobian at the unit regular point."""
-    return _verified_rank(regular_jacobian(n))
+    return _verified_rank(regular_jacobian(n), f"the regular point, n={n}")
 
 
 def independence_certificate(
@@ -161,15 +159,16 @@ def independence_certificate(
     if extra_samples < 0:
         raise ValueError("extra_samples must be >= 0")
     points = [EdgeLengthAssignment.regular(n)]
-    jacobians = []
+    ranks = [regular_rank(n)]
     rng = random.Random(f"{seed}:{n}")
     for index in range(extra_samples):
         for _ in range(_SAMPLE_RETRIES):
             cand = _sample_point(n, rng)
             try:
-                jacobians.append(jacobian_squared_map(cand))
+                jac = jacobian_squared_map(cand)
             except ValueError:  # a degenerate draw; take the next one
                 continue
+            ranks.append(_verified_rank(jac, f"sample {index}, n={n}"))
             points.append(cand)
             break
         else:
@@ -177,13 +176,12 @@ def independence_certificate(
                 f"sample {index} at n={n}, seed={seed}: all {_SAMPLE_RETRIES} "
                 "draws were degenerate"
             )
-    ranks = (regular_rank(n),) + tuple(_verified_rank(jac) for jac in jacobians)
     full = comb(n + 1, 2)
     f2 = unit_regular_squared_volume(n - 2)
     return IndependenceCertificate(
         n=n,
         full_rank=full,
-        ranks=ranks,
+        ranks=tuple(ranks),
         scaling_constant_squared=4 * f2 / Fraction(n - 1) ** 2,
         verdict=any(r == full for r in ranks),
         rank_transfer_note=RANK_TRANSFER_NOTE,
@@ -199,11 +197,10 @@ def fd_crosscheck(
     derivatives from ``jac``, the squared-coordinate Jacobian at E, and the
     largest absolute chain-ruled derivative, the scale to judge the deviation
     by: face volumes shrink fast with n, and so does any absolute deviation.
-    Second-order accurate in the step."""
+    Second-order accurate in the step. Raises ValueError when some face's
+    float squared volume is not positive."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if not is_nondegenerate(E):
-        raise ValueError("degenerate edge-length assignment")
     faces = subsets_colex(E.n + 1, E.n - 1)
     edges = subsets_colex(E.n + 1, 2)
     if (jac.nrows, jac.ncols) != (len(faces), len(edges)):
@@ -221,7 +218,10 @@ def fd_crosscheck(
         pairs = list(combinations(enumerate(face, start=1), 2))
         for (a, u), (b, w) in pairs:
             base[a, b] = base[b, a] = base_sq[(u, w)]
-        fvol = math.sqrt(coeff * np.linalg.det(base))
+        vol2 = coeff * np.linalg.det(base)
+        if not vol2 > 0:
+            raise ValueError(f"degenerate face {face}: float squared volume {vol2:.3g}")
+        fvol = math.sqrt(vol2)
         # Matrices 2t and 2t + 1 of the stack lengthen and shorten edge t.
         stack = np.repeat(base[None], 2 * len(pairs), axis=0)
         exact = np.empty(len(pairs))

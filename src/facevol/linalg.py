@@ -19,7 +19,8 @@ this module.
   full too. A smaller rank mod p is only a lower bound and proves nothing, so
   the rank then comes from Bareiss elimination;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
-  elimination on ``[num | I]``;
+  elimination on ``[num | I]`` with no pivot search, so its pivots are the
+  leading principal minors, which it returns too;
 - characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``
   and come back as a tuple of coefficients; the certification takes one of
   the 3x3 orbit divisor only, because the Gram spectrum is certified by
@@ -244,28 +245,26 @@ def rank(m: RationalMatrix) -> int:
     return _bareiss([list(row) for row in m.num])[0]
 
 
-def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
-    """Determinant and adjugate of a nonsingular square matrix by
-    fraction-free Gauss-Jordan elimination on ``[num | I]``. Raises
-    ValueError when m is singular.
+def det_adjugate(m: RationalMatrix) -> tuple[tuple[Fraction, ...], RationalMatrix]:
+    """Leading principal minors and adjugate of a square matrix by
+    fraction-free Gauss-Jordan elimination on ``[num | I]``, with no pivot
+    search. Minor k is the determinant of the leading (k+1)x(k+1) block, so
+    the last one is det(m). Raises ValueError at the first zero minor.
 
     Each step eliminates the pivot column above and below the pivot row and
-    divides by the previous pivot, exactly, so the left block ends as p*I and
-    the right block as p*num^-1, with p = sign * det(num)."""
+    divides by the previous pivot, exactly. The pivot of step c is the
+    leading (c+1)x(c+1) minor of num (Bareiss 1968), so the left block ends
+    as p*I and the right block as p*num^-1 = adj(num), with p = det(num)."""
     if m.nrows != m.ncols:
         raise ValueError("adjugate needs a square matrix")
     k = m.nrows
     aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.num)]
-    sign, prev = 1, 1
+    pivots = [1]  # the empty leading minor, then one per step
     for c in range(k):
-        piv = next((i for i in range(c, k) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-            sign = -sign
         prow = aug[c]
-        pivot = prow[c]
+        pivot, prev = prow[c], pivots[-1]
+        if not pivot:
+            raise ValueError(f"leading principal minor {c} of {m!r} is zero")
         for i in range(k):
             if i == c:
                 continue
@@ -274,11 +273,11 @@ def det_adjugate(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
                 aug[i] = [(x * pivot - f * y) // prev for x, y in zip(aug[i], prow)]
             elif pivot != prev:
                 aug[i] = [x * pivot // prev for x in aug[i]]
-        prev = pivot
-    # m = num/d, so adj(m) = adj(num) / d^(k-1) and det(m) = det(num) / d^k.
-    scale = m.den ** (k - 1)
-    adj = RationalMatrix._from_ints(([sign * x for x in row[k:]] for row in aug), scale)
-    return Fraction(sign * prev, scale * m.den), adj
+        pivots.append(pivot)
+    # m = num/d, so a leading minor of side j is that of num over d^j, and
+    # adj(m) = adj(num) / d^(k-1).
+    minors = tuple(Fraction(p, m.den**j) for j, p in enumerate(pivots[1:], 1))
+    return minors, RationalMatrix._from_ints((row[k:] for row in aug), m.den ** (k - 1))
 
 
 def _charpoly_ints(a: Sequence[Sequence[int]], n: int) -> list[int]:

@@ -54,6 +54,12 @@ from .subsets import (
 )
 
 
+def _first_deviation(a: RationalMatrix, b: RationalMatrix) -> str:
+    """The first entry, in row-major order, where a differs from b."""
+    i, j = next((i, j) for i in range(a.nrows) for j in range(a.ncols) if a[i, j] != b[i, j])
+    return f"entry ({i}, {j}) is {format_rational(a[i, j])}, expected {format_rational(b[i, j])}"
+
+
 @lru_cache(maxsize=1)
 def build_gram(n: int) -> RationalMatrix:
     """Gram matrix of the incidence rows: entry (i,j) counts the edges the
@@ -67,7 +73,8 @@ def build_gram(n: int) -> RationalMatrix:
         ([comb(k, 2) for k in row] for row in intersection_classes(n)), 1
     )
     if gram != by_rule:
-        raise IntegrityError("Gram matrix disagrees with the intersection-class rule")
+        where = _first_deviation(gram, by_rule)
+        raise IntegrityError(f"M M^T breaks the intersection-class rule at n={n}: {where}")
     return gram
 
 
@@ -147,8 +154,10 @@ def divisor_matrix(n: int) -> RationalMatrix:
     dq = divisor_quotient(n)
     if not dq.equitable:
         raise IntegrityError(f"orbit partition is not equitable at n={n}")
-    if dq.quotient != divisor_closed_form(n):
-        raise IntegrityError(f"divisor quotient deviates from closed form at n={n}")
+    closed = divisor_closed_form(n)
+    if dq.quotient != closed:
+        where = _first_deviation(dq.quotient, closed)
+        raise IntegrityError(f"divisor quotient deviates from closed form at n={n}: {where}")
     return dq.quotient
 
 

@@ -3,9 +3,10 @@
 Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
 sympy, Heron's formula, exact difference quotients, one cofactor determinant
-per Jacobian entry, one adjugate per face's Cayley-Menger matrix, the
-closed-form colex rank) and then compared against
-both the frozen literal and the library implementation.
+per Jacobian entry, one pivoting adjugate per face's Cayley-Menger matrix,
+the nondegeneracy chain of exact squared volumes, the closed-form colex rank)
+and then compared against both the frozen literal and the library
+implementation.
 """
 
 from __future__ import annotations
@@ -24,14 +25,9 @@ from facevol.geometry import (
     EdgeLengthAssignment,
     _cm_constant,
     cayley_menger_matrix,
-    is_nondegenerate,
+    squared_volume,
 )
-from facevol.linalg import (
-    RationalMatrix,
-    _bareiss,
-    det_adjugate,
-    det_fraction_free,
-)
+from facevol.linalg import RationalMatrix, _bareiss, det_fraction_free
 from facevol.subsets import subsets_colex, validate_subset
 
 
@@ -113,6 +109,54 @@ def d_sqvol_d_sqlen(
     return _cm_constant(len(face) - 1) * 2 * cofactor
 
 
+def is_nondegenerate(E: EdgeLengthAssignment) -> bool:
+    """True iff every face of every dimension 2..n has positive squared
+    volume (the assignment realizes a full-dimensional simplex).
+
+    Checked on the nested chain {1..m}, m = 3..n+1 only: by Sylvester's
+    criterion a positive chain makes the length Gram matrix positive
+    definite, which realizes affinely independent points, and then every
+    face is automatically positive. A failure anywhere forces some chain
+    value to be nonpositive, so the chain decides the full predicate.
+    """
+    for m in range(3, E.n + 2):
+        if squared_volume(E, tuple(range(1, m + 1))) <= 0:
+            return False
+    return True
+
+
+def det_adjugate_pivoting(m: RationalMatrix) -> tuple[Fraction, RationalMatrix]:
+    """Determinant and adjugate of any nonsingular square matrix by
+    fraction-free Gauss-Jordan elimination on ``[num | I]`` with a pivot
+    search, so a zero leading minor is no obstacle. Raises ValueError when m
+    is singular."""
+    k = m.nrows
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.num)]
+    sign, prev = 1, 1
+    for c in range(k):
+        piv = next((i for i in range(c, k) if aug[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            sign = -sign
+        prow = aug[c]
+        pivot = prow[c]
+        for i in range(k):
+            if i == c:
+                continue
+            f = aug[i][c]
+            if f:
+                aug[i] = [(x * pivot - f * y) // prev for x, y in zip(aug[i], prow)]
+            elif pivot != prev:
+                aug[i] = [x * pivot // prev for x in aug[i]]
+        prev = pivot
+    # m = num/d, so adj(m) = adj(num) / d^(k-1) and det(m) = det(num) / d^k.
+    scale = m.den ** (k - 1)
+    adj = RationalMatrix._from_ints(([sign * x for x in row[k:]] for row in aug), scale)
+    return Fraction(sign * prev, scale * m.den), adj
+
+
 def jacobian_by_face_adjugates(E: EdgeLengthAssignment) -> RationalMatrix:
     """The squared-volume Jacobian one face at a time: one adjugate of each
     face's Cayley-Menger matrix C gives the partials of all its edges by
@@ -124,7 +168,7 @@ def jacobian_by_face_adjugates(E: EdgeLengthAssignment) -> RationalMatrix:
     const = 2 * _cm_constant(E.n - 2)
     rows = []
     for f in subsets_colex(E.n + 1, E.n - 1):
-        adj = det_adjugate(cayley_menger_matrix(E, f))[1]
+        adj = det_adjugate_pivoting(cayley_menger_matrix(E, f))[1]
         row = [Fraction(0)] * len(column)
         # Slot 0 is the border row/column, so vertex f[i] sits at slot i + 1.
         for (a, u), (b, w) in combinations(enumerate(f, start=1), 2):

@@ -1,23 +1,32 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import facevol.geometry as geometry_mod
 from facevol.geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
     cayley_menger_matrix,
-    is_nondegenerate,
+    simplex_det_adjugate,
     squared_volume,
     unit_regular_squared_volume,
 )
-from facevol.linalg import RationalMatrix, det_fraction_free
+from facevol.linalg import RationalMatrix, det_adjugate, det_fraction_free
 from facevol.subsets import subsets_colex
 
-from oracles import heron_squared_area, rationals, with_squared
+from oracles import (
+    heron_squared_area,
+    identity,
+    is_nondegenerate,
+    matmul_by_definition,
+    rationals,
+    with_squared,
+)
 
 
 def assignment(n, values):
@@ -188,6 +197,100 @@ class TestNondegeneracy:
             for s in itertools.combinations(range(1, 6), size)
         )
         assert is_nondegenerate(E) == brute
+
+
+def one_pass_verdict(E):
+    """Whether the one elimination of simplex_det_adjugate accepts E."""
+    try:
+        simplex_det_adjugate(E)
+    except ValueError:
+        return False
+    return True
+
+
+def near_regular_points():
+    """Points at n = 3..7 with squared lengths 1 + k/16, |k| <= spread: a
+    spread of 2 keeps nearly every point nondegenerate, and one of 15 makes
+    most of them degenerate."""
+
+    def build(n, spread):
+        k = st.integers(min_value=-spread, max_value=spread)
+        size = len(subsets_colex(n + 1, 2))
+        lists = st.lists(k, min_size=size, max_size=size)
+        return lists.map(lambda ks: assignment(n, [Fraction(16 + x, 16) for x in ks]))
+
+    return st.tuples(st.integers(3, 7), st.sampled_from([2, 8, 15])).flatmap(
+        lambda a: build(*a)
+    )
+
+
+SPOILED = with_squared(EdgeLengthAssignment.regular(4), (1, 2), Fraction(100))
+FLAT = with_squared(EdgeLengthAssignment.regular(4), (4, 5), Fraction(4))
+
+
+class TestSimplexDetAdjugate:
+    """One fraction-free elimination of the row-swapped Cayley-Menger matrix
+    gives det D, adj D and the nondegeneracy verdict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(near_regular_points())
+    @example(EdgeLengthAssignment.regular(5))
+    @example(SPOILED)
+    @example(FLAT)
+    def test_verdict_equals_the_chain_oracle(self, E):
+        assert one_pass_verdict(E) == is_nondegenerate(E)
+
+    def test_seeded_draws_include_both_verdicts(self):
+        rng = random.Random(12)
+        verdicts = []
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            E = assignment(
+                n, [Fraction(16 + rng.randint(-8, 8), 16) for _ in subsets_colex(n + 1, 2)]
+            )
+            verdicts.append(one_pass_verdict(E))
+            assert verdicts[-1] == is_nondegenerate(E)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("spoil", [None, (1, 2), (2, 4), (3, 4)])
+    def test_pivots_are_the_chain_determinants(self, monkeypatch, n, spoil):
+        """Minor k of the row-swapped D is -det CM{1..k}, also at a rejected
+        point."""
+        E = perturbed_regular(n, [1, -2, 0, 2, -1])
+        if spoil is not None:
+            E = with_squared(E, spoil, Fraction(5))
+        eliminations = []
+        monkeypatch.setattr(
+            geometry_mod,
+            "det_adjugate",
+            lambda m: eliminations.append(det_adjugate(m)) or eliminations[-1],
+        )
+        try:
+            simplex_det_adjugate(E)
+        except ValueError:
+            assert not is_nondegenerate(E)
+        [(minors, _)] = eliminations
+        assert len(minors) == n + 2
+        for k in range(2, n + 2):
+            chain = cayley_menger_matrix(E, tuple(range(1, k + 1)))
+            assert minors[k] == -det_fraction_free(chain)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_adjugate_identity(self, n):
+        """D adj D = adj D D = det D I, the products by their definition."""
+        for E in (EdgeLengthAssignment.regular(n), perturbed_regular(n, [2, -1, 0, 1, -2])):
+            det, adj = simplex_det_adjugate(E)
+            d = cayley_menger_matrix(E, range(1, n + 2))
+            assert det == det_fraction_free(d) != 0
+            scalar = identity(n + 2).scaled(det)
+            assert matmul_by_definition(d, adj) == scalar
+            assert matmul_by_definition(adj, d) == scalar
+
+    @pytest.mark.parametrize("E", [SPOILED, FLAT])
+    def test_rejects_degenerate(self, E):
+        with pytest.raises(ValueError):
+            simplex_det_adjugate(E)
 
 
 class TestAssignment:

@@ -6,17 +6,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import facevol.geometry as geometry_mod
 import facevol.jacobian as jacobian_mod
 import facevol.report as report_mod
 from facevol.exceptions import IntegrityError
-from facevol.geometry import EdgeLengthAssignment, is_nondegenerate, squared_volume
+from facevol.geometry import (
+    EdgeLengthAssignment,
+    cayley_menger_matrix,
+    simplex_det_adjugate,
+    squared_volume,
+)
 from facevol.jacobian import (
+    _sample_point,
     fd_crosscheck,
     independence_certificate,
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import RationalMatrix, det_fraction_free
+from facevol.linalg import RationalMatrix, det_adjugate, det_fraction_free
 from facevol.report import FD_STEP, FD_TOLERANCE
 from facevol.subsets import build_incidence_matrix, subsets_colex
 
@@ -24,6 +31,7 @@ from oracles import (
     d_sqvol_d_sqlen,
     fd_deviation_by_edge,
     identity,
+    is_nondegenerate,
     jacobian_by_face_adjugates,
     sympy_rank,
     with_squared,
@@ -172,6 +180,14 @@ class TestScaledJacobian:
             scaled_jacobian_at_regular(2)
 
 
+def regular_only(E):
+    """simplex_det_adjugate that finds every point but the regular one
+    degenerate."""
+    if E != EdgeLengthAssignment.regular(E.n):
+        raise ValueError("degenerate edge-length assignment")
+    return simplex_det_adjugate(E)
+
+
 class TestIndependenceCertificate:
     def test_n4_regular_point_only(self):
         # the incidence determinant is 48, so rank 10 is forced
@@ -210,14 +226,32 @@ class TestIndependenceCertificate:
     def test_sample_shortfall_raises(self, monkeypatch):
         """A sample whose every draw is degenerate fails the certificate
         instead of being dropped."""
-        monkeypatch.setattr(
-            jacobian_mod,
-            "is_nondegenerate",
-            lambda E: E == EdgeLengthAssignment.regular(E.n),
-        )
+        monkeypatch.setattr(jacobian_mod, "simplex_det_adjugate", regular_only)
         with pytest.raises(IntegrityError, match=r"sample 0 at n=4, seed=42"):
             independence_certificate(4, extra_samples=3, seed=42)
         assert independence_certificate(4, extra_samples=0, seed=42).ranks == (10,)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_flipped_chain_minor_takes_the_next_draw(self, monkeypatch, n):
+        """A wrong sign on any one chain minor of the first draw rejects it,
+        as a degenerate draw is rejected, and the sample is the next draw
+        from the same generator."""
+        rng = random.Random(f"7:{n}")
+        first, second = _sample_point(n, rng), _sample_point(n, rng)
+        assert is_nondegenerate(first) and is_nondegenerate(second)
+        assert independence_certificate(n, extra_samples=1, seed=7).points[1] == first
+        first_d = cayley_menger_matrix(first, range(1, n + 2))
+        for k in range(3, n + 2):
+
+            def flipped(m, k=k):
+                minors, adj = det_adjugate(m)
+                if m.den == first_d.den and set(m.num) == set(first_d.num):
+                    minors = minors[:k] + (-minors[k],) + minors[k + 1 :]
+                return minors, adj
+
+            monkeypatch.setattr(geometry_mod, "det_adjugate", flipped)
+            cert = independence_certificate(n, extra_samples=1, seed=7)
+            assert cert.points[1] == second, k
 
     def test_rank_agrees_with_sympy(self):
         cert = independence_certificate(4, extra_samples=1, seed=5)
@@ -286,7 +320,10 @@ class TestFdCrosscheck:
         jac = jacobian_squared_map(E)
         with pytest.raises(ValueError):
             fd_crosscheck(E, jac, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"degenerate face \(1, 2, 3\)"):
             fd_crosscheck(with_squared(E, (1, 2), Fraction(100)), jac, 1e-4)
+        flat = r"degenerate face \(1, 4, 5\): float squared volume -?0$"
+        with pytest.raises(ValueError, match=flat):
+            fd_crosscheck(with_squared(E, (4, 5), Fraction(4)), jac, 1e-4)
         with pytest.raises(ValueError):
             fd_crosscheck(E, jacobian_squared_map(EdgeLengthAssignment.regular(5)), 1e-4)

@@ -94,21 +94,27 @@ def rational_matrices(nrows, ncols):
     return entry_rows(nrows, ncols).map(RationalMatrix)
 
 
+def leading_minors(m):
+    """The leading principal minors of m, each by cofactor expansion."""
+    return tuple(cofactor_det([list(r[: k + 1]) for r in m.rows[: k + 1]]) for k in range(m.nrows))
+
+
 class TestAdjugate:
     def test_2x2(self):
-        det, adj = det_adjugate(RationalMatrix([[1, 2], [3, 4]]))
-        assert det == -2
+        minors, adj = det_adjugate(RationalMatrix([[1, 2], [3, 4]]))
+        assert minors == (1, -2)
         assert adj == RationalMatrix([[4, -2], [-3, 1]])
 
     @given(square_matrices(max_side=4))
     def test_adjugate_identity(self, m):
-        """A adj(A) = adj(A) A = det(A) I, with det(A) by cofactor expansion
-        and the products by their entrywise definition."""
-        expected = cofactor_det([list(r) for r in m.rows])
-        assume(expected != 0)
-        det, adj = det_adjugate(m)
-        assert det == expected
-        scalar = identity(m.nrows).scaled(expected)
+        """A adj(A) = adj(A) A = det(A) I, with the leading minors and det(A)
+        by cofactor expansion and the products by their entrywise
+        definition."""
+        expected = leading_minors(m)
+        assume(all(expected))
+        minors, adj = det_adjugate(m)
+        assert minors == expected
+        scalar = identity(m.nrows).scaled(expected[-1])
         assert matmul_by_definition(m, adj) == scalar
         assert matmul_by_definition(adj, m) == scalar
 
@@ -117,6 +123,18 @@ class TestAdjugate:
         singular = RationalMatrix(m.rows[:-1] + (m.rows[0],))
         with pytest.raises(ValueError):
             det_adjugate(singular)
+
+    @pytest.mark.parametrize(
+        "rows, k", [([[0, 1], [1, 0]], 0), ([[1, 2, 3], [2, 4, 5], [1, 0, 1]], 1)]
+    )
+    def test_zero_leading_minor_rejected(self, rows, k):
+        """There is no pivot search: a zero leading minor raises even when the
+        matrix itself is nonsingular."""
+        m = RationalMatrix(rows)
+        minors = leading_minors(m)
+        assert minors[k] == 0 and minors[-1] != 0
+        with pytest.raises(ValueError, match=f"leading principal minor {k} "):
+            det_adjugate(m)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import facevol.gelfand as gelfand_mod
+import facevol.geometry as geometry_mod
 import facevol.jacobian as jacobian_mod
 import facevol.linalg as linalg_mod
 import facevol.report as report_mod
@@ -16,10 +17,12 @@ from facevol.gelfand import OrbitalMatrices, check_commutative, orbital_matrices
 from facevol.geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
-    is_nondegenerate,
+    simplex_det_adjugate,
+    squared_volume,
 )
 from facevol.jacobian import (
     fd_crosscheck,
+    independence_certificate,
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
@@ -61,21 +64,30 @@ def flip_reversed_rank(monkeypatch):
     jac = jacobian_squared_map(EdgeLengthAssignment.regular(5))
     flipped = RationalMatrix([row[::-1] for row in jac.rows[::-1]])
     monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) + (m == flipped))
-    return "independence_certificate", "rank witness failed re-verification"
+    return (
+        "independence_certificate",
+        "rank witness failed re-verification at the regular point, n=5: rank 15, reversed 16",
+    )
 
 
 def perturb_divisor_closed_form(monkeypatch):
     rows = [list(row) for row in spectral_mod.divisor_closed_form(5).rows]
     rows[0][1] += 1
     monkeypatch.setattr(spectral_mod, "divisor_closed_form", lambda n: RationalMatrix(rows))
-    return "divisor_closed_form", "divisor quotient deviates from closed form at n=5"
+    return (
+        "divisor_closed_form",
+        "divisor quotient deviates from closed form at n=5: entry (0, 1) is 24, expected 25",
+    )
 
 
 def misclassify_one_pair(monkeypatch):
     table = [list(row) for row in intersection_classes(5)]
     table[0][1] += 1
     monkeypatch.setattr(spectral_mod, "intersection_classes", lambda n: table)
-    return "gram_consistency", "Gram matrix disagrees with the intersection-class rule"
+    return (
+        "gram_consistency",
+        "M M^T breaks the intersection-class rule at n=5: entry (0, 1) is 3, expected 6",
+    )
 
 
 def _flipped_a2(monkeypatch, entries):
@@ -191,10 +203,12 @@ class TestPipeline:
         assert main(["--n", "4", "--samples", "0"]) == 1
 
     def test_sample_shortfall_fails_the_certificate(self, monkeypatch):
-        monkeypatch.setattr(
-            "facevol.jacobian.is_nondegenerate",
-            lambda E: E == EdgeLengthAssignment.regular(E.n),
-        )
+        def regular_only(E):
+            if E != EdgeLengthAssignment.regular(E.n):
+                raise ValueError("degenerate edge-length assignment")
+            return simplex_det_adjugate(E)
+
+        monkeypatch.setattr("facevol.jacobian.simplex_det_adjugate", regular_only)
         rep = verify_single(4, samples=3, seed=42)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["independence_certificate"].status == "fail"
@@ -264,15 +278,16 @@ class TestPipeline:
     def test_perturbed_adjugate_fails_identity_and_fd(self, cold_memos, monkeypatch, capsys):
         """One wrong entry of the whole simplex's adjugate spreads into the
         regular Jacobian; the exact identity and the FD cross-check both
-        catch it."""
+        catch it. Entry (1, 2) of the row-swapped matrix's adjugate is entry
+        (1, 2) of adj D, negated."""
 
         def perturbed(m):
-            det, adj = det_adjugate(m)
+            minors, adj = det_adjugate(m)
             num = [list(row) for row in adj.num]
             num[1][2] += adj.den
-            return det, RationalMatrix._from_ints(num, adj.den)
+            return minors, RationalMatrix._from_ints(num, adj.den)
 
-        monkeypatch.setattr(jacobian_mod, "det_adjugate", perturbed)
+        monkeypatch.setattr(geometry_mod, "det_adjugate", perturbed)
         failed = {c.name for c in verify_single(5, samples=0, seed=0).checks if c.status == "fail"}
         assert {"jacobian_identity", "fd_crosscheck"} <= failed
         capsys.readouterr()
@@ -409,6 +424,19 @@ class TestComputeOnce:
         assert len(calls[jacobian_squared_map]) == 3
         assert [m.nrows for (m,) in calls[det_adjugate]] == [7] * 3
 
+    def test_jacobian_takes_no_exact_volume(self, monkeypatch):
+        """The Jacobian, and the rejection of a degenerate point, read
+        nondegeneracy off the adjugate's pivots: no Bareiss determinant and
+        no exact squared volume runs."""
+        points = independence_certificate(5, 2, 3).points
+        spoiled = with_squared(points[0], (1, 2), Fraction(100))
+        calls = record_calls(monkeypatch, (det_fraction_free, squared_volume))
+        for E in points:
+            jacobian_squared_map(E)
+        with pytest.raises(ValueError):
+            jacobian_squared_map(spoiled)
+        assert calls == {det_fraction_free: [], squared_volume: []}
+
     def test_orbit_algebra_built_once(self, monkeypatch):
         """The Gram rule and the orbital matrices read one intersection-class
         table, and commutativity takes one product: the side-21 products are
@@ -434,15 +462,31 @@ class TestComputeOnce:
         assert [m.nrows for (m,) in calls[char_poly]] == [3]
 
     def test_each_sampled_point_is_checked_once(self, monkeypatch):
-        """The nondegeneracy predicate sees each sampled point once: the
-        sampling loop and the Jacobian of an accepted point share one check."""
-        calls = record_calls(monkeypatch, (is_nondegenerate,))
-        verify_single(5, samples=2, seed=3)
+        """Each sampled candidate, accepted or rejected, is eliminated once,
+        and the regular point once per n, shared by geometry sanity, the
+        regular Jacobian and the FD check. The first candidate is rejected by
+        a flipped chain minor."""
+        calls = record_calls(monkeypatch, (simplex_det_adjugate, det_adjugate))
+        eliminate = geometry_mod.det_adjugate
+
+        def reject_first_candidate(m):
+            minors, adj = eliminate(m)
+            if len(calls[det_adjugate]) == 2:  # the regular point comes first
+                minors = minors[:3] + (-minors[3],) + minors[4:]
+            return minors, adj
+
+        monkeypatch.setattr(geometry_mod, "det_adjugate", reject_first_candidate)
+        drawn = []
+        sample = jacobian_mod._sample_point
+        monkeypatch.setattr(
+            jacobian_mod, "_sample_point", lambda n, rng: drawn.append(sample(n, rng)) or drawn[-1]
+        )
+        rep = verify_single(5, samples=2, seed=3)
         regular = EdgeLengthAssignment.regular(5)
-        sampled = [E for (E,) in calls[is_nondegenerate] if E != regular]
-        assert len(sampled) >= 2
-        repeats = [E for i, E in enumerate(sampled) if E in sampled[:i]]
-        assert not repeats, f"{len(repeats)} sampled points checked again"
+        assert rep.overall_pass and rep.independence.points[1:] == tuple(drawn[1:])
+        assert len(drawn) == 3
+        assert [E for (E,) in calls[simplex_det_adjugate]] == [regular, *drawn]
+        assert len(calls[det_adjugate]) == 4
 
 
 class TestSerialization:
