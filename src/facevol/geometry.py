@@ -34,8 +34,10 @@ class EdgeLengthAssignment:
         for edge in edges:
             if edge not in self.squared_lengths:
                 raise ValueError(f"missing squared length for edge {edge}")
-            v = Fraction(self.squared_lengths[edge])
-            if v <= 0:
+            v = self.squared_lengths[edge]
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            if v.numerator <= 0:  # the denominator is positive
                 raise ValueError(f"squared length for edge {edge} must be positive")
             clean[edge] = v
         if len(self.squared_lengths) != len(edges):

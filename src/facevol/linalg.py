@@ -48,15 +48,20 @@ _INT64_BOUND = 2**63
 
 def format_rational(x: Fraction | int) -> str:
     """Render ``p/q`` in lowest terms, omitting ``/1``. Bit-exact and stable."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):  # a Fraction is already in lowest terms
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts ``p`` or ``p/q``."""
-    return Fraction(s)
+    """Inverse of :func:`format_rational`; accepts ``p`` or ``p/q``. Raises
+    ValueError on a zero denominator."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def exact_sqrt(x: Fraction) -> Fraction | None:

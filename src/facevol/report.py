@@ -16,10 +16,10 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
@@ -313,6 +313,9 @@ def run_verification(config: RunConfig) -> list[VerificationReport]:
     independent of the parallelism degree."""
     work = [(n, config.samples, config.seed) for n in config.n_values]
     if config.jobs > 1 and len(work) > 1:
+        # imported only here: loading it costs every run some 15 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(work))) as pool:
             return list(pool.map(_verify_args, work))
     return [_verify_args(w) for w in work]
@@ -321,57 +324,118 @@ def run_verification(config: RunConfig) -> list[VerificationReport]:
 # The JSON codec. The dataclasses are the schema: a dataclass is an object
 # with one key per field in field order (``metadata["json"]`` renames a key),
 # a Fraction is a "p/q" string, a tuple is a list, and a map keyed by vertex
-# tuples (the edge lengths) has "i,j" keys.
+# tuples (the edge lengths) has "i,j" keys. A report adds two derived keys,
+# overall_pass just before the checks and the report-wide discrepancies last;
+# the reader ignores both.
+#
+# Each schema type is compiled once into a writer and a reader. A writer emits
+# the layout of ``json.dumps(indent=2)``, which itself would fall back to the
+# pure-Python encoder, and escapes strings with the C escaper. A reader takes
+# what ``json.loads`` returns, checks the JSON type of every leaf (a rational
+# must be a string) and makes one Fraction per distinct rational string of
+# the document it reads.
+
+Writer = Callable[[Any, str], str]  # (value, indent of its first line) -> JSON
+Reader = Callable[[Any, dict], Any]  # (JSON value, rationals read so far) -> value
 
 
-@cache  # one entry per report dataclass
-def _fields(cls: type) -> tuple[tuple[str, str, Any], ...]:
-    # (attribute, JSON key, type) per field; get_type_hints re-evaluates the
-    # string annotations on every call, so resolve them once per class.
+def _fields(cls: type) -> list[tuple[str, str, Any]]:
+    # (attribute, JSON key, type) per field, in field order
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls)
-    )
+    return [(f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls)]
 
 
-def _to_json(x: Any) -> Any:
-    if x is None or isinstance(x, (int, str)):  # bool is an int
-        return x
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, tuple):
-        return [_to_json(v) for v in x]
-    if isinstance(x, Mapping):
-        return {",".join(map(str, k)): _to_json(v) for k, v in x.items()}
-    return {key: _to_json(getattr(x, attr)) for attr, key, _ in _fields(type(x))}
+def _json_items(items: list[str], indent: str, brackets: str) -> str:
+    # items are already written at indent + 2 spaces
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _from_json(tp: Any, value: Any) -> Any:
-    if tp in (int, str, bool):
-        if type(value) is not tp:
-            raise TypeError(f"expected {tp.__name__}, got {value!r}")
-        return value
-    if tp is Fraction:
-        return parse_rational(value)
+_LEAF_WRITERS: dict[Any, Writer] = {
+    bool: lambda value, indent: "true" if value else "false",
+    int: lambda value, indent: int.__repr__(value),
+    str: lambda value, indent: encode_basestring_ascii(value),
+    Fraction: lambda value, indent: f'"{format_rational(value)}"',
+}
+
+
+@cache  # one entry per schema type
+def _writer(tp: Any) -> Writer:
+    if tp in _LEAF_WRITERS:
+        return _LEAF_WRITERS[tp]
     args = get_args(tp)
     if type(None) in args:  # X | None
-        return None if value is None else _from_json(args[0], value)
+        inner = _writer(args[0])
+        return lambda value, indent: "null" if value is None else inner(value, indent)
     if get_origin(tp) is tuple:  # every tuple in the schema is homogeneous
-        return tuple(_from_json(args[0], v) for v in value)
+        item = _writer(args[0])
+
+        def write_list(value: Any, indent: str) -> str:
+            deeper = indent + "  "
+            return _json_items([item(v, deeper) for v in value], indent, "[]")
+
+        return write_list
     if get_origin(tp) is Mapping:  # also the origin of typing.Mapping
-        return {
-            tuple(map(int, k.split(","))): _from_json(args[1], v) for k, v in value.items()
+        item = _writer(args[1])
+
+        def write_map(value: Any, indent: str) -> str:
+            deeper = indent + "  "
+            items = [f'"{",".join(map(str, k))}": {item(v, deeper)}' for k, v in value.items()]
+            return _json_items(items, indent, "{}")
+
+        return write_map
+    members = _fields(tp)
+    if tp is VerificationReport:
+        at = [attr for attr, _, _ in members].index("checks")
+        members.insert(at, ("overall_pass", "overall_pass", bool))
+        members.append(("discrepancies", "discrepancies", tuple[ClaimRecord, ...]))
+    keyed = [(encode_basestring_ascii(key) + ": ", attr, _writer(t)) for attr, key, t in members]
+
+    def write_object(value: Any, indent: str) -> str:
+        deeper = indent + "  "
+        items = [key + write(getattr(value, attr), deeper) for key, attr, write in keyed]
+        return _json_items(items, indent, "{}")
+
+    return write_object
+
+
+def _expect(tp: type, value: Any) -> Any:
+    if type(value) is not tp:
+        raise TypeError(f"expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _read_rational(value: Any, rationals: dict) -> Fraction:
+    q = rationals.get(_expect(str, value))
+    if q is None:
+        q = rationals[value] = parse_rational(value)
+    return q
+
+
+@cache  # one entry per schema type
+def _reader(tp: Any) -> Reader:
+    if tp is Fraction:
+        return _read_rational
+    if tp in (int, str, bool):
+        return lambda value, rationals: _expect(tp, value)
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        inner = _reader(args[0])
+        return lambda value, rationals: None if value is None else inner(value, rationals)
+    if get_origin(tp) is tuple:
+        item = _reader(args[0])
+        return lambda value, rationals: tuple([item(v, rationals) for v in _expect(list, value)])
+    if get_origin(tp) is Mapping:
+        item = _reader(args[1])
+        return lambda value, rationals: {
+            tuple(map(int, k.split(","))): item(v, rationals) for k, v in value.items()
         }
-    return tp(**{attr: _from_json(t, value[key]) for attr, key, t in _fields(tp)})
-
-
-def _report_json(r: VerificationReport) -> dict:
-    # The fields plus two derived keys: overall_pass just before the checks
-    # and the report-wide discrepancies last. The decoder ignores both.
-    items = list(_to_json(r).items())
-    at = [key for key, _ in items].index("checks")
-    items[at:at] = [("overall_pass", r.overall_pass)]
-    return dict(items + [("discrepancies", _to_json(r.discrepancies))])
+    members = [(attr, key, _reader(t)) for attr, key, t in _fields(tp)]
+    return lambda value, rationals: tp(
+        **{attr: read(value[key], rationals) for attr, key, read in members}
+    )
 
 
 def _md_cell(text: str) -> str:
@@ -445,7 +509,7 @@ def _markdown(r: VerificationReport) -> str:
 def serialize_report(r: VerificationReport, fmt: str = "json") -> str:
     """Canonical rendering of one report; JSON round-trips losslessly."""
     if fmt == "json":
-        return json.dumps(_report_json(r), indent=2) + "\n"
+        return _writer(VerificationReport)(r, "") + "\n"
     if fmt == "markdown":
         return _markdown(r)
     raise ValueError(f"unknown format {fmt!r}")
@@ -456,7 +520,7 @@ def serialize_reports(reports: list[VerificationReport], fmt: str = "json") -> s
     if len(reports) == 1:
         return serialize_report(reports[0], fmt)
     if fmt == "json":
-        return json.dumps([_report_json(r) for r in reports], indent=2) + "\n"
+        return _writer(tuple[VerificationReport, ...])(reports, "") + "\n"
     if fmt == "markdown":
         return "\n".join(_markdown(r) for r in reports)
     raise ValueError(f"unknown format {fmt!r}")
@@ -466,6 +530,6 @@ def parse_report(text: str) -> VerificationReport:
     """Inverse of serialize_report(..., "json"). Raises ValueError on
     malformed input."""
     try:
-        return _from_json(VerificationReport, json.loads(text))
+        return _reader(VerificationReport)(json.loads(text), {})
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc

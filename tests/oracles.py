@@ -4,18 +4,21 @@ Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
 sympy, Heron's formula, exact difference quotients, one cofactor determinant
 per Jacobian entry, one pivoting adjugate per face's Cayley-Menger matrix,
-the nondegeneracy chain of exact squared volumes, the closed-form colex rank)
-and then compared against both the frozen literal and the library
-implementation.
+the nondegeneracy chain of exact squared volumes, the closed-form colex rank,
+report JSON through ``json.dumps``) and then compared against both the
+frozen literal and the library implementation.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Mapping
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import sympy
@@ -27,7 +30,7 @@ from facevol.geometry import (
     cayley_menger_matrix,
     squared_volume,
 )
-from facevol.linalg import RationalMatrix, _bareiss, det_fraction_free
+from facevol.linalg import RationalMatrix, _bareiss, det_fraction_free, format_rational
 from facevol.subsets import subsets_colex, validate_subset
 
 
@@ -314,3 +317,34 @@ def fd_deviation_by_edge(
 def heron_squared_area(x: Fraction, y: Fraction, z: Fraction) -> Fraction:
     """Squared triangle area from the squared side lengths."""
     return (2 * (x * y + y * z + z * x) - x * x - y * y - z * z) / 16
+
+
+def to_json(x: Any) -> Any:
+    """A report value as the JSON document it stands for: a dataclass is an
+    object keyed by its fields (``metadata["json"]`` renames a key), a
+    Fraction a "p/q" string, a tuple a list, and an edge map has "i,j" keys."""
+    if x is None or isinstance(x, (int, str)):  # bool is an int
+        return x
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, tuple):
+        return [to_json(v) for v in x]
+    if isinstance(x, Mapping):
+        return {",".join(map(str, k)): to_json(v) for k, v in x.items()}
+    return {f.metadata.get("json", f.name): to_json(getattr(x, f.name)) for f in fields(x)}
+
+
+def report_json(r) -> dict:
+    """to_json of a report plus its derived keys: overall_pass just before
+    the checks and the report-wide discrepancies last."""
+    items = list(to_json(r).items())
+    at = [key for key, _ in items].index("checks")
+    items[at:at] = [("overall_pass", r.overall_pass)]
+    return dict(items + [("discrepancies", to_json(r.discrepancies))])
+
+
+def serialize_reports_by_json_dumps(reports) -> str:
+    """The canonical JSON of one report, or of a list of several, written by
+    ``json.dumps(indent=2)``."""
+    doc = report_json(reports[0]) if len(reports) == 1 else [report_json(r) for r in reports]
+    return json.dumps(doc, indent=2) + "\n"

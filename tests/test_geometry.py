@@ -300,9 +300,19 @@ class TestAssignment:
 
     def test_requires_positive(self):
         sq = {e: Fraction(1) for e in subsets_colex(5, 2)}
-        sq[(1, 2)] = Fraction(0)
-        with pytest.raises(ValueError):
-            EdgeLengthAssignment(4, sq)
+        for bad in (Fraction(0), Fraction(-1, 3), 0, -2):
+            sq[(1, 2)] = bad
+            with pytest.raises(ValueError):
+                EdgeLengthAssignment(4, sq)
+
+    def test_keeps_fractions_and_converts_the_rest(self):
+        q = Fraction(17, 16)
+        sq = {e: 1 for e in subsets_colex(4, 2)}
+        sq[(1, 2)] = q
+        E = EdgeLengthAssignment(3, sq)
+        assert E.squared_lengths[(1, 2)] is q
+        assert type(E.squared_lengths[(3, 4)]) is Fraction
+        assert E.squared_lengths[(3, 4)] == 1
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,7 @@ from facevol.report import (
 from facevol.spectral import build_gram, full_spectrum
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
-from oracles import dense, with_squared
+from oracles import dense, serialize_reports_by_json_dumps, with_squared
 
 
 @pytest.fixture(scope="module")
@@ -510,13 +511,13 @@ class TestSerialization:
 
     def test_edge_length_json_roundtrip(self):
         E = with_squared(EdgeLengthAssignment.regular(5), (2, 4), Fraction(15, 16))
-        doc = report_mod._to_json(E)
+        doc = json.loads(report_mod._writer(EdgeLengthAssignment)(E, ""))
         assert doc["n"] == 5
-        assert report_mod._from_json(EdgeLengthAssignment, doc) == E
+        assert report_mod._reader(EdgeLengthAssignment)(doc, {}) == E
 
     def test_edge_length_json_format(self):
         E = with_squared(EdgeLengthAssignment.regular(3), (1, 2), Fraction(17, 16))
-        doc = report_mod._to_json(E)
+        doc = json.loads(report_mod._writer(EdgeLengthAssignment)(E, ""))
         assert list(doc["squared_lengths"])[:2] == ["1,2", "1,3"]
         assert doc["squared_lengths"]["1,2"] == "17/16"
         assert doc["squared_lengths"]["3,4"] == "1"
@@ -528,8 +529,24 @@ class TestSerialization:
             (lambda d: d["spectrum"].update(det_m_abs="x/0"), ValueError),
             (lambda d: d["independence"]["points"][1]["squared_lengths"].pop("2,4"), ValueError),
             (lambda d: d["independence"]["ranks"].__setitem__(0, "10"), TypeError),
+            (lambda d: d["spectrum"].update(det_m_abs="1/0"), ValueError),
+            (lambda d: d["spectrum"].update(det_m_abs=5), TypeError),
+            (
+                lambda d: d["independence"]["points"][0]["squared_lengths"].update({"1,2": True}),
+                TypeError,
+            ),
+            (lambda d: d["independence"].update(scaling_constant_squared=1.5), TypeError),
         ],
-        ids=["missing_key", "non_rational", "missing_edge", "wrong_leaf_type"],
+        ids=[
+            "missing_key",
+            "non_rational",
+            "missing_edge",
+            "wrong_leaf_type",
+            "zero_denominator",
+            "rational_as_int",
+            "rational_as_bool",
+            "rational_as_float",
+        ],
     )
     def test_malformed_report_raises_value_error(self, report_n4, tamper, cause):
         doc = json.loads(serialize_report(report_n4, "json"))
@@ -569,6 +586,46 @@ class TestDeterminism:
         text2 = serialize_reports(run_verification(parallel), "json")
         assert text1 == text2
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        src = str(Path(report_mod.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import facevol; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out == "False\n"
+
+
+class TestCodecOracle:
+    """The compiled codec writes what json.dumps(indent=2) writes for the
+    same document, byte for byte."""
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_report_matches_json_dumps(self, n):
+        report = verify_single(n, samples=2, seed=7)
+        assert serialize_report(report, "json") == serialize_reports_by_json_dumps([report])
+
+    def test_report_array_matches_json_dumps(self):
+        reports = [verify_single(n, samples=1, seed=7) for n in (3, 4, 5)]
+        assert serialize_reports(reports, "json") == serialize_reports_by_json_dumps(reports)
+        assert serialize_reports([], "json") == serialize_reports_by_json_dumps([]) == "[]\n"
+
+    def test_escaped_details_match_json_dumps(self, monkeypatch):
+        message = 'λ ≠ "9" at n=4,\na \\ b'
+
+        def broken(n):
+            raise IntegrityError(message)
+
+        monkeypatch.setattr(report_mod, "divisor_divides", broken)
+        report = verify_single(4, samples=1, seed=42)
+        assert not report.overall_pass
+        assert CheckResult("divisor_char_poly_divides", "fail", message) in report.checks
+        text = serialize_report(report, "json")
+        assert text == serialize_reports_by_json_dumps([report])
+        assert parse_report(text) == report
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -579,7 +636,9 @@ class TestGolden:
     tests/golden` (and again with `--format markdown`). CI also compares
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
     --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`,
-    written the same way with `--n 20 --max-n 24`."""
+    written the same way with `--n 20 --max-n 24`. The JSON array
+    `verify_n3-5.json` is the stdout of `python -m facevol --n-range 3:5
+    --seed 42 --samples 3`."""
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_reports_are_byte_identical(self, n):
@@ -587,6 +646,10 @@ class TestGolden:
         for fmt, ext in (("json", "json"), ("markdown", "md")):
             golden = (GOLDEN / f"verify_n{n}.{ext}").read_text()
             assert serialize_report(report, fmt) == golden
+
+    def test_report_array_is_byte_identical(self, capsys):
+        assert main(["--n-range", "3:5", "--seed", "42", "--samples", "3"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify_n3-5.json").read_text()
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_decode_reencode_is_byte_identical(self, n):
