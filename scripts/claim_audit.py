@@ -13,6 +13,8 @@ def main() -> None:
     parser.add_argument("--n-min", type=int, default=4)
     parser.add_argument("--n-max", type=int, default=8)
     args = parser.parse_args()
+    if args.n_min < 4:
+        parser.error("--n-min must be >= 4: the orbit-algebra audit is defined for n >= 4")
 
     for n in range(args.n_min, args.n_max + 1):
         records = full_spectrum(n).discrepancies + gelfand_report(n).discrepancies

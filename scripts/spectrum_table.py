@@ -11,7 +11,7 @@ from facevol.spectral import det_incidence, full_spectrum
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-min", type=int, default=4)
+    parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=10)
     args = parser.parse_args()
 

@@ -24,7 +24,7 @@ from .claims import (
 )
 from .exceptions import IntegrityError
 from .linalg import RationalMatrix, rank
-from .spectral import build_gram, divisor_eigenpairs, divisor_quotient, full_spectrum
+from .spectral import build_gram, divisor_quotient, divisor_spectrum, full_spectrum
 from .subsets import intersection_classes
 
 
@@ -74,11 +74,10 @@ class EigenvectorMatch:
 
 
 def match_eigenvectors(n: int) -> tuple[EigenvectorMatch, ...]:
-    """Lift each divisor eigenvector (verified by :func:`full_spectrum`) to a
+    """Lift each divisor eigenvector (proved by :func:`divisor_spectrum`) to a
     cell-constant vector, verify it is an exact Gram eigenvector for the same
     eigenvalue, and attach the certified multiplicity."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    pairs = divisor_spectrum(n)  # raises ValueError below n = 4
     gram = build_gram(n)
     multiplicity = {w.value: w.multiplicity for w in full_spectrum(n).eigenvalues}
     cell_of = {}
@@ -87,7 +86,7 @@ def match_eigenvectors(n: int) -> tuple[EigenvectorMatch, ...]:
             cell_of[v] = cell_idx
     matches = []
     lifted_rows = []
-    for vec, lam in divisor_eigenpairs(n):
+    for vec, lam in pairs:
         lifted = tuple(vec[cell_of[v]] for v in range(gram.nrows))
         if gram.mul_vector(lifted) != tuple(lam * x for x in lifted):
             raise IntegrityError(f"lifted eigenvector failed for {lam} at n={n}")

@@ -56,12 +56,15 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts ``p`` or ``p/q``. Raises
-    ValueError on a zero denominator."""
+    """Inverse of :func:`format_rational`: accepts only the ``p`` or ``p/q``
+    it writes. Raises ValueError on anything else, a zero denominator too."""
     try:
-        return Fraction(s)
+        q = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    if format_rational(q) != s:
+        raise ValueError(f"{s!r} is not written as {format_rational(q)!r}")
+    return q
 
 
 def exact_sqrt(x: Fraction) -> Fraction | None:

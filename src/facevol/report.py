@@ -24,7 +24,7 @@ from math import comb
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
-from .claims import ClaimRecord, claimed_incidence_det_abs
+from .claims import ClaimRecord
 from .exceptions import IntegrityError
 from .gelfand import GelfandReport, gelfand_report
 from .geometry import (
@@ -41,8 +41,6 @@ from .jacobian import (
 )
 from .linalg import format_rational, parse_rational
 from .spectral import (
-    EigenvalueWitness,
-    SingularValueEntry,
     SpectrumCertificate,
     build_gram,
     det_incidence,
@@ -66,8 +64,12 @@ MAX_N_GUARD = 16
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str
     details: str
+
+    def __post_init__(self) -> None:
+        if self.status not in ("pass", "fail", "skip"):
+            raise ValueError(f"unknown check status {self.status!r}")
 
 
 @dataclass(frozen=True)
@@ -93,30 +95,6 @@ class VerificationReport:
         if self.gelfand is not None:
             out += self.gelfand.discrepancies
         return out
-
-
-def _spectrum_n3() -> SpectrumCertificate:
-    # The n = 3 Gram matrix is the identity, so 1 is its one eigenvalue, of
-    # multiplicity 6, and det G = (det M)^2 = 1; certify both directly.
-    gram = build_gram(3)
-    size = gram.nrows
-    identity = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    det_m = det_incidence(3)
-    if (gram.num, gram.den) != (identity, 1) or det_m * det_m != 1:
-        raise IntegrityError("n=3 spectrum certification failed")
-    det_abs = abs(det_m)
-    record = ClaimRecord.compare(
-        "absolute determinant of the incidence matrix",
-        claimed_incidence_det_abs(3),
-        det_abs,
-    )
-    return SpectrumCertificate(
-        n=3,
-        eigenvalues=(EigenvalueWitness(Fraction(1), size, 0),),
-        singular_values=(SingularValueEntry(Fraction(1), size),),
-        det_m_abs=det_abs,
-        discrepancies=(record,),
-    )
 
 
 # Each check reads the report's fields (n, samples, seed, ...) from one dict,
@@ -181,7 +159,7 @@ def _divides(r: dict) -> tuple[bool, str]:
 
 
 def _spectrum(r: dict) -> tuple[bool, str]:
-    spectrum = r["spectrum"] = full_spectrum(r["n"]) if r["n"] >= 4 else _spectrum_n3()
+    spectrum = r["spectrum"] = full_spectrum(r["n"])
     return True, spectrum_summary(spectrum)
 
 
@@ -326,14 +304,15 @@ def run_verification(config: RunConfig) -> list[VerificationReport]:
 # a Fraction is a "p/q" string, a tuple is a list, and a map keyed by vertex
 # tuples (the edge lengths) has "i,j" keys. A report adds two derived keys,
 # overall_pass just before the checks and the report-wide discrepancies last;
-# the reader ignores both.
+# parse_report requires both to equal what the report it reads derives.
 #
 # Each schema type is compiled once into a writer and a reader. A writer emits
 # the layout of ``json.dumps(indent=2)``, which itself would fall back to the
 # pure-Python encoder, and escapes strings with the C escaper. A reader takes
 # what ``json.loads`` returns, checks the JSON type of every leaf (a rational
 # must be a string) and makes one Fraction per distinct rational string of
-# the document it reads.
+# the document it reads. It accepts rationals and map keys only as a writer
+# writes them; whitespace between tokens is free.
 
 Writer = Callable[[Any, str], str]  # (value, indent of its first line) -> JSON
 Reader = Callable[[Any, dict], Any]  # (JSON value, rationals read so far) -> value
@@ -414,6 +393,13 @@ def _read_rational(value: Any, rationals: dict) -> Fraction:
     return q
 
 
+def _read_key(key: str) -> tuple[int, ...]:
+    vertices = tuple(map(int, key.split(",")))
+    if ",".join(map(str, vertices)) != key:
+        raise ValueError(f"map key {key!r} is not written as the writer writes it")
+    return vertices
+
+
 @cache  # one entry per schema type
 def _reader(tp: Any) -> Reader:
     if tp is Fraction:
@@ -429,9 +415,7 @@ def _reader(tp: Any) -> Reader:
         return lambda value, rationals: tuple([item(v, rationals) for v in _expect(list, value)])
     if get_origin(tp) is Mapping:
         item = _reader(args[1])
-        return lambda value, rationals: {
-            tuple(map(int, k.split(","))): item(v, rationals) for k, v in value.items()
-        }
+        return lambda value, rationals: {_read_key(k): item(v, rationals) for k, v in value.items()}
     members = [(attr, key, _reader(t)) for attr, key, t in _fields(tp)]
     return lambda value, rationals: tp(
         **{attr: read(value[key], rationals) for attr, key, read in members}
@@ -530,6 +514,12 @@ def parse_report(text: str) -> VerificationReport:
     """Inverse of serialize_report(..., "json"). Raises ValueError on
     malformed input."""
     try:
-        return _reader(VerificationReport)(json.loads(text), {})
+        doc, rationals = json.loads(text), {}
+        report = _reader(VerificationReport)(doc, rationals)
+        overall_pass = _expect(bool, doc["overall_pass"])
+        discrepancies = _reader(tuple[ClaimRecord, ...])(doc["discrepancies"], rationals)
+        if (overall_pass, discrepancies) != (report.overall_pass, report.discrepancies):
+            raise ValueError("overall_pass or discrepancies differs from what the report derives")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+    return report

@@ -1,21 +1,22 @@
 """The face-edge Gram matrix, equitable partitions and their quotients, the
 3x3 orbit divisor, and the fully certified spectrum of the Gram matrix.
 
-Eigenvalue candidates come cheaply from the 3x3 divisor, whose characteristic
-polynomial is the only one computed. A codim-2 face is the complement of a
-vertex pair, so the Gram matrix lies in the Bose-Mesner algebra of the Johnson
-scheme J(n+1, 2), and each of its three eigenspaces has an explicit integer
-spanning set (Delsarte 1973; Brouwer & Haemers, *Spectra of Graphs*, the
-triangular graph T(n+1)). Every vector of these families is checked to be an
-exact eigenvector, and each family is proved independent by one full-rank
-`rank`, which gives a lower bound on each multiplicity. Eigenvectors of
-distinct eigenvalues are independent, so lower bounds that sum to the
-dimension are exact, and the Gram matrix is diagonalizable with
-characteristic polynomial prod (x - lam_i)^m_i; the divisibility by the
-divisor's characteristic polynomial is read off the certified multiplicities.
-The trace and the product of the eigenvalues are then compared with the trace
-of G and with (det M)^2. Computed values are authoritative; disagreements with
-the claimed closed forms are recorded as discrepancies.
+A codim-2 face is the complement of a vertex pair, so the Gram matrix lies in
+the Bose-Mesner algebra of the Johnson scheme J(n+1, 2), and each of its
+three eigenspaces has an explicit integer spanning set (Delsarte 1973;
+Brouwer & Haemers, *Spectra of Graphs*, the triangular graph T(n+1)). The
+families are grouped by eigenvalue (at n = 3 all three belong to 1); every
+vector is checked to be an exact eigenvector, and each group is proved
+independent by one full-rank `rank`, which gives a lower bound on each
+multiplicity. Eigenvectors of distinct eigenvalues are independent, so lower
+bounds that sum to the dimension are exact, and the Gram matrix is
+diagonalizable with characteristic polynomial prod (x - lam_i)^m_i. The trace
+and the product of the eigenvalues are then compared with the trace of G and
+with (det M)^2. The divisor proves its own spectrum (exact eigenpairs,
+distinct eigenvalues, char D = prod (x - lam)), so char D divides char G
+exactly when each divisor eigenvalue is a certified Gram eigenvalue. Computed
+values are authoritative; disagreements with the claimed closed forms are
+recorded as discrepancies.
 """
 
 from __future__ import annotations
@@ -161,17 +162,19 @@ def divisor_matrix(n: int) -> RationalMatrix:
     return dq.quotient
 
 
+DivisorPairs = tuple[tuple[tuple[Fraction, Fraction, Fraction], Fraction], ...]
+
+
 def divisor_divides(n: int) -> bool:
-    """Exact divisibility of the Gram characteristic polynomial by the
-    divisor's. The certified spectrum gives char G = prod (x - lam_i)^m_i and
-    char D = prod (x - lam_i) over the same distinct lam_i, so char D divides
-    char G exactly when every m_i >= 1. Raises what full_spectrum raises."""
-    return all(w.multiplicity >= 1 for w in full_spectrum(n).eigenvalues)
+    """Exact divisibility of char G by char D. With char D = prod (x - lam)
+    over distinct lam (divisor_spectrum) and char G = prod (x - mu_i)^m_i
+    (full_spectrum), it holds exactly when every lam is a certified mu_i with
+    m_i >= 1. Raises what those two raise."""
+    multiplicity = {w.value: w.multiplicity for w in full_spectrum(n).eigenvalues}
+    return all(multiplicity.get(lam, 0) >= 1 for _, lam in divisor_spectrum(n))
 
 
-def divisor_eigenpairs(
-    n: int,
-) -> tuple[tuple[tuple[Fraction, Fraction, Fraction], Fraction], ...]:
+def divisor_eigenpairs(n: int) -> DivisorPairs:
     """The three exact (eigenvector, eigenvalue) pairs of the divisor, in
     descending eigenvalue order: C(n-1,2)^2, (n-2)^2, 1."""
     if n < 4:
@@ -187,6 +190,34 @@ def divisor_eigenpairs(
             Fraction(1),
         ),
     )
+
+
+@lru_cache(maxsize=1)
+def divisor_spectrum(n: int) -> DivisorPairs:
+    """The divisor eigenpairs, proved to be the divisor's whole spectrum:
+    each pair is exact, the eigenvalues are distinct, and char D is
+    prod (x - lam)."""
+    divisor = divisor_matrix(n)
+    pairs = divisor_eigenpairs(n)
+    for vec, lam in pairs:
+        image, expected = divisor.mul_vector(vec), tuple(lam * x for x in vec)
+        if image != expected:
+            where = _first_deviation(RationalMatrix([image]), RationalMatrix([expected]))
+            message = f"divisor eigenvector check failed for {lam} at n={n}: D v {where}"
+            raise IntegrityError(message)
+    lams = [lam for _, lam in pairs]
+    # prod (x - lam) in ascending coefficients: each factor maps p to x*p - lam*p.
+    from_roots = [Fraction(1)]
+    for lam in lams:
+        from_roots = [a - lam * b for a, b in zip([0] + from_roots, from_roots + [0])]
+    char_d = char_poly(divisor)
+    if len(set(lams)) != len(lams) or char_d != tuple(from_roots):
+        roots, char_s, prod_s = (", ".join(map(str, xs)) for xs in (lams, char_d, from_roots))
+        raise IntegrityError(
+            f"divisor eigenvalues {roots} are not the distinct roots of char D at n={n}: "
+            f"char D is ({char_s}), prod (x - lam) is ({prod_s})"
+        )
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -266,7 +297,7 @@ def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
 
 
 def _certify_family(
-    n: int, gram: RationalMatrix, lam: Fraction, vectors: tuple[SparseVector, ...]
+    n: int, gram: RationalMatrix, lam: Fraction, vectors: Sequence[SparseVector]
 ) -> EigenvalueWitness:
     """A lower bound on the multiplicity of lam: the family's size, once every
     vector is an exact eigenvector and the family has full rank."""
@@ -298,12 +329,16 @@ def _certify_family(
 def _audit_claims(
     n: int,
     gram: RationalMatrix,
-    largest_eigenvalue: Fraction,
-    unit_multiplicity: int,
-    middle_multiplicity: int,
+    witnesses: Sequence[EigenvalueWitness],
     det_abs: Fraction,
 ) -> tuple[ClaimRecord, ...]:
-    largest_sv = exact_sqrt(largest_eigenvalue)
+    det_claim = ClaimRecord.compare(
+        "absolute determinant of the incidence matrix", claimed_incidence_det_abs(n), det_abs
+    )
+    if n == 3:  # one eigenvalue and no divisor: only the determinant claim applies
+        return (det_claim,)
+    largest, middle, unit = witnesses
+    largest_sv = exact_sqrt(largest.value)
     if largest_sv is None:
         raise IntegrityError("largest Gram eigenvalue is not a perfect square")
     part = divisor_quotient(n).partition
@@ -315,22 +350,18 @@ def _audit_claims(
         ClaimRecord.compare(
             "multiplicity of singular value n-2",
             claimed_middle_singular_multiplicity(n),
-            Fraction(middle_multiplicity),
+            Fraction(middle.multiplicity),
         ),
         ClaimRecord.compare(
             "multiplicity of singular value 1",
             claimed_unit_singular_multiplicity(n),
-            Fraction(unit_multiplicity),
+            Fraction(unit.multiplicity),
         ),
-        ClaimRecord.compare(
-            "absolute determinant of the incidence matrix",
-            claimed_incidence_det_abs(n),
-            det_abs,
-        ),
+        det_claim,
         ClaimRecord.compare(
             "largest divisor eigenvalue",
             claimed_largest_divisor_eigenvalue(n),
-            largest_eigenvalue,
+            largest.value,
         ),
         ClaimRecord.compare(
             "Gram entry, equal faces", entries[n - 1], gram[0, 0]
@@ -345,15 +376,15 @@ def _audit_claims(
 
 
 def full_spectrum(n: int) -> SpectrumCertificate:
-    """Complete certified spectrum of the Gram matrix for n >= 4.
+    """Complete certified spectrum of the Gram matrix for n >= 3.
 
-    Candidates are the divisor eigenvalues; each multiplicity is the size of
-    an explicit eigenvector family that is verified exactly and proved
-    independent, and its rank witness is the dimension minus it. The
-    certificate is rejected unless the multiplicities sum to the dimension
-    and the trace and determinant identities close. A rejection is
-    remembered like a result, so every check that needs the spectrum of a
-    failing n gets the same error without certifying again.
+    The eigenvector families of `eigenbasis`, grouped by eigenvalue, are the
+    candidates; each multiplicity is the size of a group that is verified
+    exactly and proved independent, and its rank witness is the dimension
+    minus it. The certificate is rejected unless the multiplicities sum to
+    the dimension and the trace and determinant identities close. A
+    rejection is remembered like a result, so every check that needs the
+    spectrum of a failing n gets the same error without certifying again.
     """
     result = _spectrum_or_error(n)
     if isinstance(result, SpectrumCertificate):
@@ -373,29 +404,14 @@ def _spectrum_or_error(n: int) -> SpectrumCertificate | tuple[Exception, Traceba
 
 
 def _certify_spectrum(n: int) -> SpectrumCertificate:
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
     gram = build_gram(n)
-    divisor = divisor_matrix(n)
-    pairs = divisor_eigenpairs(n)
-    for vec, lam in pairs:
-        if divisor.mul_vector(vec) != tuple(lam * x for x in vec):
-            raise IntegrityError(f"divisor eigenvector check failed for {lam} at n={n}")
-    lams = [lam for _, lam in pairs]
-    # prod (x - lam) in ascending coefficients: each factor maps p to x*p - lam*p.
-    from_roots = [Fraction(1)]
-    for lam in lams:
-        from_roots = [a - lam * b for a, b in zip([0] + from_roots, from_roots + [0])]
-    # Distinct eigenvalues keep the families below independent of one another,
-    # and char D = prod (x - lam) is what divisor_divides reads.
-    if len(set(lams)) != len(lams) or char_poly(divisor) != tuple(from_roots):
-        raise IntegrityError(f"divisor eigenvalues are not distinct and complete at n={n}")
-    families = eigenbasis(n)
-    if [lam for lam, _ in families] != lams:
-        raise IntegrityError(f"eigenvector families miss the divisor eigenvalues at n={n}")
-    # Each family bounds its multiplicity from below. Eigenvectors of distinct
+    # One group per distinct eigenvalue (at n = 3 the three families form one).
+    # Each bounds its multiplicity from below; eigenvectors of distinct
     # eigenvalues are independent, so bounds that sum to the size are exact.
-    witnesses = [_certify_family(n, gram, lam, vectors) for lam, vectors in families]
+    groups: dict[Fraction, list[SparseVector]] = {}
+    for lam, vectors in eigenbasis(n):
+        groups.setdefault(lam, []).extend(vectors)
+    witnesses = [_certify_family(n, gram, lam, vectors) for lam, vectors in groups.items()]
     size, total = gram.nrows, sum(w.multiplicity for w in witnesses)
     if total != size:
         raise IntegrityError(f"multiplicities sum to {total}, not {size}, at n={n}")
@@ -416,22 +432,12 @@ def _certify_spectrum(n: int) -> SpectrumCertificate:
             f"{format_rational(det_m * det_m)} at n={n}"
         )
     det_abs = abs(det_m)
-    discrepancies = _audit_claims(
-        n,
-        gram,
-        largest_eigenvalue=witnesses[0].value,
-        unit_multiplicity=witnesses[2].multiplicity,
-        middle_multiplicity=witnesses[1].multiplicity,
-        det_abs=det_abs,
-    )
     return SpectrumCertificate(
         n=n,
         eigenvalues=tuple(witnesses),
-        singular_values=tuple(
-            SingularValueEntry(w.value, w.multiplicity) for w in witnesses
-        ),
+        singular_values=tuple(SingularValueEntry(w.value, w.multiplicity) for w in witnesses),
         det_m_abs=det_abs,
-        discrepancies=discrepancies,
+        discrepancies=_audit_claims(n, gram, witnesses, det_abs),
     )
 
 

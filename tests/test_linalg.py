@@ -304,6 +304,13 @@ class TestRationalFormat:
     def test_roundtrip(self, x):
         assert parse_rational(format_rational(x)) == x
 
+    @pytest.mark.parametrize(
+        "text", [" 96/2 ", "0.083333e0", "34/32", "2/1", "+3", "-0", "1_0", "3/-4", "1/0"]
+    )
+    def test_rejects_what_format_never_writes(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
     def test_exact_sqrt(self):
         assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert exact_sqrt(Fraction(2)) is None

@@ -37,7 +37,7 @@ from facevol.report import (
     serialize_reports,
     verify_single,
 )
-from facevol.spectral import build_gram, full_spectrum
+from facevol.spectral import build_gram, divisor_eigenpairs, divisor_matrix, full_spectrum
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
 from oracles import dense, serialize_reports_by_json_dumps, with_squared
@@ -78,6 +78,32 @@ def perturb_divisor_closed_form(monkeypatch):
     return (
         "divisor_closed_form",
         "divisor quotient deviates from closed form at n=5: entry (0, 1) is 24, expected 25",
+    )
+
+
+def _replaced_divisor_pair(monkeypatch, which, pair):
+    """Serve divisor eigenpairs at n = 5 whose pair `which` is replaced."""
+    pairs = list(divisor_eigenpairs(5))
+    pairs[which] = pair
+    monkeypatch.setattr(spectral_mod, "divisor_eigenpairs", lambda n: tuple(pairs))
+
+
+def repeated_divisor_eigenvalue(monkeypatch):
+    _replaced_divisor_pair(monkeypatch, 1, divisor_eigenpairs(5)[2])
+    return (
+        "divisor_char_poly_divides",
+        "divisor eigenvalues 36, 1, 1 are not the distinct roots of char D at n=5: "
+        "char D is (-324, 369, -46, 1), prod (x - lam) is (-36, 73, -38, 1)",
+    )
+
+
+def zero_divisor_eigenvector(monkeypatch):
+    # D 0 = 2 * 0 holds, and 36, 9, 2 are distinct; only char D disagrees.
+    _replaced_divisor_pair(monkeypatch, 2, ((Fraction(0),) * 3, Fraction(2)))
+    return (
+        "divisor_char_poly_divides",
+        "divisor eigenvalues 36, 9, 2 are not the distinct roots of char D at n=5: "
+        "char D is (-324, 369, -46, 1), prod (x - lam) is (-648, 414, -47, 1)",
     )
 
 
@@ -295,6 +321,24 @@ class TestPipeline:
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_wrong_divisor_eigenvector_fails_divisibility_and_gelfand(
+        self, cold_memos, monkeypatch, capsys
+    ):
+        """A wrong divisor eigenvector fails the divisor's own proof, which
+        the divisibility check and the eigenvector lifts read; the Gram
+        spectrum, certified from its eigenvector families alone, passes."""
+        (x, y, z), lam = divisor_eigenpairs(5)[1]
+        _replaced_divisor_pair(monkeypatch, 1, ((x, -y, z), lam))
+        checks = verify_single(5, 0, 0).checks
+        failed = {c.name: c.details for c in checks if c.status == "fail"}
+        message = "divisor eigenvector check failed for 9 at n=5: D v entry (0, 0) is 6, expected -18"
+        gelfand_checks = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
+        assert failed == dict.fromkeys(("divisor_char_poly_divides",) + gelfand_checks, message)
+        assert CheckResult("spectrum_certificate", "pass", "36:1, 9:5, 1:9") in checks
+        capsys.readouterr()
+        assert main(["--n", "5", "--samples", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -306,6 +350,8 @@ class TestPipeline:
             wrong_basis_vector,
             dependent_family,
             short_count,
+            repeated_divisor_eigenvalue,
+            zero_divisor_eigenvector,
         ],
     )
     def test_stage_fault_fails_its_check(self, cold_memos, monkeypatch, capsys, fault):
@@ -402,12 +448,13 @@ class TestComputeOnce:
         assert eliminated
         assert not leaked, f"{len(leaked)} Jacobian ranks fell back to Bareiss"
 
-    @pytest.mark.parametrize("n", [4, 7, 9])
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
         """A cold full_spectrum takes one fraction-free elimination, det M:
-        the three eigenvector families are proved independent mod p, and det G
-        is never computed."""
-        calls = record_calls(monkeypatch, (det_fraction_free,))
+        the eigenvector groups are proved independent mod p, and det G is
+        never computed. It reads nothing of the divisor, at n = 3 too."""
+        divisor = (divisor_matrix, divisor_eigenpairs, char_poly)
+        calls = record_calls(monkeypatch, (det_fraction_free, *divisor))
         eliminated = []
         bareiss = linalg_mod._bareiss
         monkeypatch.setattr(
@@ -415,6 +462,7 @@ class TestComputeOnce:
         )
         full_spectrum(n)
         assert calls[det_fraction_free] == [(build_incidence_matrix(n),)]
+        assert all(calls[fn] == [] for fn in divisor)
         assert eliminated == [build_gram(n).nrows]
 
     def test_one_adjugate_per_jacobian(self, monkeypatch):
@@ -456,8 +504,9 @@ class TestComputeOnce:
         assert side_21 == [(m, m.transpose()), (a1, a2)]
 
     def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
-        """The Gram char poly is never computed: its divisibility is read off
-        the certified spectrum, so the 3x3 divisor is the one char_poly."""
+        """The Gram char poly is never computed: the divisor proves its own,
+        once per n, and divisibility compares the divisor eigenvalues with the
+        certified Gram spectrum, so the 3x3 divisor is the one char_poly."""
         calls = record_calls(monkeypatch, (char_poly,))
         verify_single(6, samples=2, seed=3)
         assert [m.nrows for (m,) in calls[char_poly]] == [3]
@@ -488,6 +537,19 @@ class TestComputeOnce:
         assert len(drawn) == 3
         assert [E for (E,) in calls[simplex_det_adjugate]] == [regular, *drawn]
         assert len(calls[det_adjugate]) == 4
+
+
+def first_edge(doc):
+    """The squared edge lengths of the first sampled point of a report
+    document."""
+    return doc["independence"]["points"][1]["squared_lengths"]
+
+
+def rekey(edges, key):
+    """Move the length of edge 1,2 to the given key, keeping its place."""
+    items = [(key if k == "1,2" else k, v) for k, v in edges.items()]
+    edges.clear()
+    edges.update(items)
 
 
 class TestSerialization:
@@ -526,6 +588,15 @@ class TestSerialization:
         "tamper, cause",
         [
             (lambda d: d.pop("spectrum"), KeyError),
+            (lambda d: d["spectrum"].update(det_m_abs=" 96/2 "), ValueError),
+            (lambda d: d["independence"].update(scaling_constant_squared="0.083333e0"), ValueError),
+            (lambda d: first_edge(d).update({"1,2": "34/32"}), ValueError),
+            (lambda d: rekey(first_edge(d), " 1, 2"), ValueError),
+            (lambda d: rekey(first_edge(d), "01,2"), ValueError),
+            (lambda d: d["checks"][0].update(status="bogus"), ValueError),
+            (lambda d: d.update(overall_pass=False), ValueError),
+            (lambda d: d.update(discrepancies=[]), ValueError),
+            (lambda d: d.pop("overall_pass"), KeyError),
             (lambda d: d["spectrum"].update(det_m_abs="x/0"), ValueError),
             (lambda d: d["independence"]["points"][1]["squared_lengths"].pop("2,4"), ValueError),
             (lambda d: d["independence"]["ranks"].__setitem__(0, "10"), TypeError),
@@ -539,6 +610,15 @@ class TestSerialization:
         ],
         ids=[
             "missing_key",
+            "padded_rational",
+            "decimal_rational",
+            "unreduced_rational",
+            "padded_edge_key",
+            "zero_padded_edge_key",
+            "unknown_status",
+            "wrong_overall_pass",
+            "emptied_discrepancies",
+            "missing_overall_pass",
             "non_rational",
             "missing_edge",
             "wrong_leaf_type",
@@ -554,6 +634,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^malformed report: ") as info:
             parse_report(json.dumps(doc))
         assert type(info.value.__cause__) is cause
+
+    def test_any_whitespace_parses(self, report_n4):
+        doc = json.loads(serialize_report(report_n4, "json"))
+        for separators in ((",", ":"), (" ,  ", " :\t")):
+            assert parse_report(json.dumps(doc, separators=separators)) == report_n4
 
     def test_rationals_serialized_as_strings(self, report_n4):
         doc = json.loads(serialize_report(report_n4, "json"))

@@ -163,16 +163,19 @@ class TestDivisor:
         assert char_poly(build_gram(n)) == poly_from_roots(roots)
 
     def test_zero_multiplicity_does_not_divide(self, monkeypatch):
+        """A divisor eigenvalue of Gram multiplicity 0, or missing from the
+        Gram spectrum, breaks the divisibility."""
         cert = full_spectrum(5)
         for fn in vars(spectral_mod).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-        emptied = EigenvalueWitness(cert.eigenvalues[1].value, 0, 15)
-        eigenvalues = (cert.eigenvalues[0], emptied, cert.eigenvalues[2])
-        monkeypatch.setattr(
-            spectral_mod, "full_spectrum", lambda n: replace(cert, eigenvalues=eigenvalues)
-        )
-        assert not divisor_divides(5)
+        largest, middle, unit = cert.eigenvalues
+        emptied = EigenvalueWitness(middle.value, 0, 15)
+        for eigenvalues in ((largest, emptied, unit), (largest, unit)):
+            monkeypatch.setattr(
+                spectral_mod, "full_spectrum", lambda n: replace(cert, eigenvalues=eigenvalues)
+            )
+            assert not divisor_divides(5)
 
     def test_perturbed_divisor_fails_to_divide(self):
         d = divisor_matrix(4)
@@ -238,9 +241,22 @@ class TestSpectrum:
     def test_trace_example_n4(self):
         assert 9 * 1 + 4 * 4 + 1 * 5 == 10 * 3
 
-    def test_rejects_n3(self):
+    def test_n3(self):
+        """The Gram matrix is the identity: the three families form one group
+        for the eigenvalue 1, of full rank, and the divisor, defined from
+        n = 4 on, contributes no claim."""
+        cert = full_spectrum(3)
+        assert spectrum_summary(cert) == "1:6"
+        assert [(w.value, w.multiplicity, w.rank_witness) for w in cert.eigenvalues] == [(1, 6, 0)]
+        assert [(s.square, s.multiplicity) for s in cert.singular_values] == [(1, 6)]
+        assert cert.det_m_abs == 1
+        assert [c.claim for c in cert.discrepancies] == [
+            "absolute determinant of the incidence matrix"
+        ]
+
+    def test_rejects_n2(self):
         with pytest.raises(ValueError):
-            full_spectrum(3)
+            full_spectrum(2)
 
 
 class TestEigenbasis:
