@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Jacobian independence certificate, incidence spectrum, divisor "
             "quotients, and the claim audit."
         ),
-        epilog="Environment: FACEVOL_LOG sets the log level (e.g. INFO, DEBUG).",
+        epilog="Environment: FACEVOL_LOG is the log level: DEBUG, INFO, WARNING, ERROR, CRITICAL.",
     )
     target = parser.add_mutually_exclusive_group()
     target.add_argument("--n", type=int, help="single dimension to verify (>= 3)")
@@ -91,11 +91,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    level = os.environ.get("FACEVOL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
-
     single_mode = args.n is not None
     try:
+        log_name = os.environ.get("FACEVOL_LOG") or "WARNING"
+        level = logging.getLevelName(log_name.upper())  # a level name's number, else a str
+        if not isinstance(level, int):
+            raise ValueError(f"FACEVOL_LOG={log_name!r} is not a log level name (see --help)")
         if single_mode:
             n_values: tuple[int, ...] = (args.n,)
         elif args.n_range is not None:
@@ -113,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
+    logging.basicConfig(level=level, stream=sys.stderr)
     reports = run_verification(config)
 
     if args.output is None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .claims import (
@@ -22,7 +21,7 @@ from .claims import (
     claimed_dimension_sum_matches,
     claimed_irreducible_dimensions,
 )
-from .exceptions import IntegrityError
+from .exceptions import IntegrityError, one_slot_memo
 from .linalg import RationalMatrix, rank
 from .spectral import build_gram, divisor_quotient, divisor_spectrum, full_spectrum
 from .subsets import intersection_classes
@@ -112,7 +111,7 @@ class GelfandReport:
     discrepancies: tuple[ClaimRecord, ...]
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def gelfand_report(n: int) -> GelfandReport:
     """Assemble the commutativity, dimension, and eigenvector-matching checks
     into one report, flagging the claimed dimension triple if it fails."""

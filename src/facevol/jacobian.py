@@ -26,13 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .exceptions import IntegrityError
+from .exceptions import IntegrityError, one_slot_memo
 from .geometry import (
     EdgeLengthAssignment,
     _cm_constant,
@@ -92,7 +91,7 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     return RationalMatrix._from_ints(rows, den)
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def regular_jacobian(n: int) -> RationalMatrix:
     """The squared-coordinate Jacobian at the unit regular point."""
     return jacobian_squared_map(EdgeLengthAssignment.regular(n))
@@ -142,7 +141,7 @@ def _verified_rank(jac: RationalMatrix, point: str) -> int:
     return r
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def regular_rank(n: int) -> int:
     """The verified rank of the Jacobian at the unit regular point."""
     return _verified_rank(regular_jacobian(n), f"the regular point, n={n}")

@@ -18,14 +18,14 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .claims import ClaimRecord
-from .exceptions import IntegrityError
+from .exceptions import IntegrityError, one_slot_memo
 from .gelfand import GelfandReport, gelfand_report
 from .geometry import (
     EdgeLengthAssignment,
@@ -101,11 +101,11 @@ class VerificationReport:
 # stores the certificate it produces there, and returns (ok, details). Any
 # exception it raises is recorded as a failure of that check: an
 # IntegrityError by its message, any other as "<TypeName>: <message>".
-# Checks that depend on n alone take n and are one-slot memos, so a second
-# report of the same n does not repeat them.
+# Every artefact that depends on n alone, these checks included, is a one-slot
+# memo that keeps an error like a result: one attempt per n, one error for all.
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def _geometry_sanity(n: int) -> tuple[bool, str]:
     regular = EdgeLengthAssignment.regular(n)
     f2 = unit_regular_squared_volume(n - 2)
@@ -115,7 +115,7 @@ def _geometry_sanity(n: int) -> tuple[bool, str]:
     return ok, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def _incidence_structure(n: int) -> tuple[bool, str]:
     m = build_incidence_matrix(n)
     deg = comb(n - 1, 2)
@@ -128,7 +128,7 @@ def _incidence_structure(n: int) -> tuple[bool, str]:
     return ok, f"side {m.nrows}, row and column sums {deg}"
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def _jacobian_identity(n: int) -> tuple[bool, str]:
     ok = scaled_jacobian_at_regular(n) == build_incidence_matrix(n)
     return ok, "scaled Jacobian at the regular point equals the incidence matrix"
@@ -170,38 +170,26 @@ def _determinant(r: dict) -> tuple[bool, str]:
     return det_m != 0, f"|det M| = {format_rational(abs(det_m))}"
 
 
-def _gelfand(r: dict) -> GelfandReport:
-    # Built by the first gelfand check. If building it fails, each later
-    # gelfand check tries again and fails with the same error.
-    if r["gelfand"] is None:
-        r["gelfand"] = gelfand_report(r["n"])
-    return r["gelfand"]
-
-
 def _commutativity(r: dict) -> tuple[bool, str]:
-    return _gelfand(r).commutative, "class indicator matrices commute"
+    g = r["gelfand"] = gelfand_report(r["n"])  # the first of the gelfand checks
+    return g.commutative, "class indicator matrices commute"
 
 
 def _eigenspace_structure(r: dict) -> tuple[bool, str]:
-    g = _gelfand(r)
+    g = gelfand_report(r["n"])
     ok = g.distinct_eigenvalues == 3 and sum(g.eigenspace_dims) == comb(r["n"] + 1, 2)
     return ok, f"3 eigenspaces of dimensions {list(g.eigenspace_dims)}"
 
 
 def _eigenvector_matching(r: dict) -> tuple[bool, str]:
-    _gelfand(r)  # raises unless every lift is an exact eigenvector
+    gelfand_report(r["n"])  # raises unless every lift is an exact eigenvector
     return True, "all divisor eigenvectors lift exactly"
 
 
-@lru_cache(maxsize=1)
-def _regular_fd_deviation(n: int) -> tuple[float, float]:
-    """The FD cross-check at the unit regular point; depends on n only."""
+@one_slot_memo
+def _fd(n: int) -> tuple[bool, str]:
     regular = EdgeLengthAssignment.regular(n)
-    return fd_crosscheck(regular, regular_jacobian(n), FD_STEP)
-
-
-def _fd(r: dict) -> tuple[bool, str]:
-    dev, largest = _regular_fd_deviation(r["n"])
+    dev, largest = fd_crosscheck(regular, regular_jacobian(n), FD_STEP)
     return dev <= FD_TOLERANCE * largest, f"max deviation {dev:.3e} at step {FD_STEP:g}"
 
 
@@ -220,7 +208,7 @@ CHECKS: tuple[tuple[str, int, Callable[[dict], tuple[bool, str]]], ...] = (
     ("orbital_commutativity", 4, _commutativity),
     ("eigenspace_structure", 4, _eigenspace_structure),
     ("eigenvector_matching", 4, _eigenvector_matching),
-    ("fd_crosscheck", 3, _fd),
+    ("fd_crosscheck", 3, lambda r: _fd(r["n"])),
 )
 
 
@@ -304,15 +292,16 @@ def run_verification(config: RunConfig) -> list[VerificationReport]:
 # a Fraction is a "p/q" string, a tuple is a list, and a map keyed by vertex
 # tuples (the edge lengths) has "i,j" keys. A report adds two derived keys,
 # overall_pass just before the checks and the report-wide discrepancies last;
-# parse_report requires both to equal what the report it reads derives.
+# parse_report takes both out before it reads the report's fields, and
+# requires them to equal what that report derives.
 #
 # Each schema type is compiled once into a writer and a reader. A writer emits
 # the layout of ``json.dumps(indent=2)``, which itself would fall back to the
 # pure-Python encoder, and escapes strings with the C escaper. A reader takes
 # what ``json.loads`` returns, checks the JSON type of every leaf (a rational
 # must be a string) and makes one Fraction per distinct rational string of
-# the document it reads. It accepts rationals and map keys only as a writer
-# writes them; whitespace between tokens is free.
+# the document it reads. It accepts rationals, map keys and object keys only
+# as a writer writes them; whitespace between tokens is free.
 
 Writer = Callable[[Any, str], str]  # (value, indent of its first line) -> JSON
 Reader = Callable[[Any, dict], Any]  # (JSON value, rationals read so far) -> value
@@ -416,10 +405,15 @@ def _reader(tp: Any) -> Reader:
     if get_origin(tp) is Mapping:
         item = _reader(args[1])
         return lambda value, rationals: {_read_key(k): item(v, rationals) for k, v in value.items()}
-    members = [(attr, key, _reader(t)) for attr, key, t in _fields(tp)]
-    return lambda value, rationals: tp(
-        **{attr: read(value[key], rationals) for attr, key, read in members}
-    )
+    members = {key: (attr, _reader(t)) for attr, key, t in _fields(tp)}
+
+    def read_object(value: Any, rationals: dict) -> Any:
+        if not value.keys() <= members.keys():
+            unknown = min(value.keys() - members.keys())
+            raise ValueError(f"unknown key {unknown!r} in {tp.__name__}")
+        return tp(**{attr: read(value[key], rationals) for key, (attr, read) in members.items()})
+
+    return read_object
 
 
 def _md_cell(text: str) -> str:
@@ -515,9 +509,9 @@ def parse_report(text: str) -> VerificationReport:
     malformed input."""
     try:
         doc, rationals = json.loads(text), {}
+        overall_pass = _expect(bool, doc.pop("overall_pass"))
+        discrepancies = _reader(tuple[ClaimRecord, ...])(doc.pop("discrepancies"), rationals)
         report = _reader(VerificationReport)(doc, rationals)
-        overall_pass = _expect(bool, doc["overall_pass"])
-        discrepancies = _reader(tuple[ClaimRecord, ...])(doc["discrepancies"], rationals)
         if (overall_pass, discrepancies) != (report.overall_pass, report.discrepancies):
             raise ValueError("overall_pass or discrepancies differs from what the report derives")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -12,20 +12,18 @@ multiplicity. Eigenvectors of distinct eigenvalues are independent, so lower
 bounds that sum to the dimension are exact, and the Gram matrix is
 diagonalizable with characteristic polynomial prod (x - lam_i)^m_i. The trace
 and the product of the eigenvalues are then compared with the trace of G and
-with (det M)^2. The divisor proves its own spectrum (exact eigenpairs,
-distinct eigenvalues, char D = prod (x - lam)), so char D divides char G
-exactly when each divisor eigenvalue is a certified Gram eigenvalue. Computed
-values are authoritative; disagreements with the claimed closed forms are
-recorded as discrepancies.
+with (det M)^2. The divisor proves its own spectrum (exact eigenpairs, nonzero
+vectors, distinct eigenvalues, char D = prod (x - lam)), so char D divides
+char G exactly when each divisor eigenvalue is a certified Gram eigenvalue.
+Computed values are authoritative; disagreements with the claimed closed
+forms are recorded as discrepancies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from types import TracebackType
 from typing import Sequence
 
 from .claims import (
@@ -37,7 +35,7 @@ from .claims import (
     claimed_middle_singular_multiplicity,
     claimed_unit_singular_multiplicity,
 )
-from .exceptions import IntegrityError
+from .exceptions import IntegrityError, one_slot_memo
 from .linalg import (
     RationalMatrix,
     char_poly,
@@ -61,7 +59,7 @@ def _first_deviation(a: RationalMatrix, b: RationalMatrix) -> str:
     return f"entry ({i}, {j}) is {format_rational(a[i, j])}, expected {format_rational(b[i, j])}"
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def build_gram(n: int) -> RationalMatrix:
     """Gram matrix of the incidence rows: entry (i,j) counts the edges the
     i-th and j-th codim-2 faces share. Built both as M M^T and from the
@@ -138,14 +136,14 @@ def divisor_closed_form(n: int) -> RationalMatrix:
     )
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def divisor_quotient(n: int) -> DivisorQuotient:
     """Quotient of the Gram matrix by the stabilizer orbits of the first face."""
     base = unrank_subset(n + 1, n - 1, 0)
     return check_equitable(build_gram(n), orbit_partition(n, base))
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def divisor_matrix(n: int) -> RationalMatrix:
     """Equitable quotient of the Gram matrix by the stabilizer orbits of the
     first face; certified equal to the closed-form entries. Needs n >= 4 (at
@@ -192,14 +190,16 @@ def divisor_eigenpairs(n: int) -> DivisorPairs:
     )
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def divisor_spectrum(n: int) -> DivisorPairs:
     """The divisor eigenpairs, proved to be the divisor's whole spectrum:
-    each pair is exact, the eigenvalues are distinct, and char D is
-    prod (x - lam)."""
+    each pair is exact with a nonzero vector, the eigenvalues are distinct,
+    and char D is prod (x - lam)."""
     divisor = divisor_matrix(n)
     pairs = divisor_eigenpairs(n)
     for vec, lam in pairs:
+        if not any(vec):
+            raise IntegrityError(f"divisor eigenvector for {lam} is zero at n={n}")
         image, expected = divisor.mul_vector(vec), tuple(lam * x for x in vec)
         if image != expected:
             where = _first_deviation(RationalMatrix([image]), RationalMatrix([expected]))
@@ -242,7 +242,7 @@ class SpectrumCertificate:
     discrepancies: tuple[ClaimRecord, ...]
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def det_incidence(n: int) -> Fraction:
     """Exact (signed) determinant of the incidence matrix."""
     return det_fraction_free(build_incidence_matrix(n))
@@ -375,6 +375,7 @@ def _audit_claims(
     )
 
 
+@one_slot_memo
 def full_spectrum(n: int) -> SpectrumCertificate:
     """Complete certified spectrum of the Gram matrix for n >= 3.
 
@@ -382,28 +383,9 @@ def full_spectrum(n: int) -> SpectrumCertificate:
     candidates; each multiplicity is the size of a group that is verified
     exactly and proved independent, and its rank witness is the dimension
     minus it. The certificate is rejected unless the multiplicities sum to
-    the dimension and the trace and determinant identities close. A
-    rejection is remembered like a result, so every check that needs the
-    spectrum of a failing n gets the same error without certifying again.
+    the dimension and the trace and determinant identities close; a rejection
+    is remembered like a result.
     """
-    result = _spectrum_or_error(n)
-    if isinstance(result, SpectrumCertificate):
-        return result
-    exc, tb = result
-    raise exc.with_traceback(tb)
-
-
-@lru_cache(maxsize=1)
-def _spectrum_or_error(n: int) -> SpectrumCertificate | tuple[Exception, TracebackType]:
-    # lru_cache keeps no exception, so the error is returned as the value,
-    # with its own traceback, which re-raising it would otherwise extend.
-    try:
-        return _certify_spectrum(n)
-    except Exception as exc:
-        return exc, exc.__traceback__
-
-
-def _certify_spectrum(n: int) -> SpectrumCertificate:
     gram = build_gram(n)
     # One group per distinct eigenvalue (at n = 3 the three families form one).
     # Each bounds its multiplicity from below; eigenvectors of distinct

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
+from .exceptions import one_slot_memo
 from .linalg import RationalMatrix
 
 # Below n = 3 the codimension-2 faces have no edges, so the incidence
@@ -58,7 +59,7 @@ def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(unrank_subset(n_total, k, r) for r in range(comb(n_total, k)))
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """|f ∩ g| for every pair of codim-2 faces, rows and columns in colex
     order. Square of side C(n+1,2)."""
@@ -68,7 +69,7 @@ def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(len(f & g) for g in faces) for f in faces)
 
 
-@lru_cache(maxsize=1)
+@one_slot_memo
 def build_incidence_matrix(n: int) -> RationalMatrix:
     """0/1 matrix with rows the codim-2 faces and columns the edges, entry 1
     when the edge lies in the face. Square of side C(n+1,2)."""

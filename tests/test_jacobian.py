@@ -302,17 +302,12 @@ class TestFdCrosscheck:
         else:
             rows[0][rows[0].index(max(rows[0]))] *= Fraction(101, 100)
         monkeypatch.setattr(report_mod, "regular_jacobian", lambda m: RationalMatrix(rows))
-        report_mod._regular_fd_deviation.cache_clear()
-        try:
-            ok, details = report_mod._fd({"n": n})
-        finally:
-            report_mod._regular_fd_deviation.cache_clear()
+        ok, details = report_mod._fd(n)
         assert not ok, details
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_exact_jacobian_passes_the_check_at_large_n(self, n):
-        report_mod._regular_fd_deviation.cache_clear()
-        ok, details = report_mod._fd({"n": n})
+        ok, details = report_mod._fd(n)
         assert ok, details
 
     def test_rejects_bad_input(self):

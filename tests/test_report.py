@@ -13,8 +13,13 @@ import facevol.linalg as linalg_mod
 import facevol.report as report_mod
 import facevol.spectral as spectral_mod
 from facevol.cli import main
-from facevol.exceptions import IntegrityError
-from facevol.gelfand import OrbitalMatrices, check_commutative, orbital_matrices
+from facevol.exceptions import IntegrityError, one_slot_memo
+from facevol.gelfand import (
+    OrbitalMatrices,
+    check_commutative,
+    match_eigenvectors,
+    orbital_matrices,
+)
 from facevol.geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
@@ -37,7 +42,13 @@ from facevol.report import (
     serialize_reports,
     verify_single,
 )
-from facevol.spectral import build_gram, divisor_eigenpairs, divisor_matrix, full_spectrum
+from facevol.spectral import (
+    build_gram,
+    divisor_eigenpairs,
+    divisor_matrix,
+    divisor_spectrum,
+    full_spectrum,
+)
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
 from oracles import dense, serialize_reports_by_json_dumps, with_squared
@@ -48,17 +59,15 @@ def report_n4():
     return verify_single(4, samples=3, seed=42)
 
 
-@pytest.fixture
-def cold_memos(monkeypatch):
-    """Empty the memos before the test and after it, so that an error a
-    fault left in a memo reaches no later test."""
-    record_calls(monkeypatch, ())
-    yield
-    record_calls(monkeypatch, ())
+GELFAND_CHECKS = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
+# The checks that read the divisor's proved spectrum, and those that read the
+# Gram spectrum certificate.
+DIVISOR_READERS = ("divisor_char_poly_divides", *GELFAND_CHECKS)
+SPECTRUM_READERS = ("divisor_char_poly_divides", "spectrum_certificate", *GELFAND_CHECKS)
 
 
-# Faults for single stages. Each returns the check it must fail and the
-# message that check must give.
+# Faults for single stages. Each returns every check it must fail, and the
+# one message all of them must give.
 
 
 def flip_reversed_rank(monkeypatch):
@@ -66,7 +75,7 @@ def flip_reversed_rank(monkeypatch):
     flipped = RationalMatrix([row[::-1] for row in jac.rows[::-1]])
     monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) + (m == flipped))
     return (
-        "independence_certificate",
+        ("independence_certificate",),
         "rank witness failed re-verification at the regular point, n=5: rank 15, reversed 16",
     )
 
@@ -76,7 +85,7 @@ def perturb_divisor_closed_form(monkeypatch):
     rows[0][1] += 1
     monkeypatch.setattr(spectral_mod, "divisor_closed_form", lambda n: RationalMatrix(rows))
     return (
-        "divisor_closed_form",
+        ("divisor_closed_form", *DIVISOR_READERS),
         "divisor quotient deviates from closed form at n=5: entry (0, 1) is 24, expected 25",
     )
 
@@ -88,23 +97,36 @@ def _replaced_divisor_pair(monkeypatch, which, pair):
     monkeypatch.setattr(spectral_mod, "divisor_eigenpairs", lambda n: tuple(pairs))
 
 
+def wrong_divisor_eigenvector(monkeypatch):
+    (x, y, z), lam = divisor_eigenpairs(5)[1]
+    _replaced_divisor_pair(monkeypatch, 1, ((x, -y, z), lam))
+    return (
+        DIVISOR_READERS,
+        "divisor eigenvector check failed for 9 at n=5: D v entry (0, 0) is 6, expected -18",
+    )
+
+
 def repeated_divisor_eigenvalue(monkeypatch):
     _replaced_divisor_pair(monkeypatch, 1, divisor_eigenpairs(5)[2])
     return (
-        "divisor_char_poly_divides",
+        DIVISOR_READERS,
         "divisor eigenvalues 36, 1, 1 are not the distinct roots of char D at n=5: "
         "char D is (-324, 369, -46, 1), prod (x - lam) is (-36, 73, -38, 1)",
     )
 
 
 def zero_divisor_eigenvector(monkeypatch):
-    # D 0 = 2 * 0 holds, and 36, 9, 2 are distinct; only char D disagrees.
+    # D 0 = 2 * 0 holds, and 36, 9, 2 are distinct; the zero vector is refused
+    # before char D, which disagrees too, is compared.
     _replaced_divisor_pair(monkeypatch, 2, ((Fraction(0),) * 3, Fraction(2)))
-    return (
-        "divisor_char_poly_divides",
-        "divisor eigenvalues 36, 9, 2 are not the distinct roots of char D at n=5: "
-        "char D is (-324, 369, -46, 1), prod (x - lam) is (-648, 414, -47, 1)",
-    )
+    return DIVISOR_READERS, "divisor eigenvector for 2 is zero at n=5"
+
+
+def zero_unit_eigenvector(monkeypatch):
+    # D 0 = 1 * 0 holds, 36, 9, 1 are distinct and char D is prod (x - lam):
+    # only the zero vector itself is wrong, and the Gram spectrum still passes.
+    _replaced_divisor_pair(monkeypatch, 2, ((Fraction(0),) * 3, Fraction(1)))
+    return DIVISOR_READERS, "divisor eigenvector for 1 is zero at n=5"
 
 
 def misclassify_one_pair(monkeypatch):
@@ -112,7 +134,7 @@ def misclassify_one_pair(monkeypatch):
     table[0][1] += 1
     monkeypatch.setattr(spectral_mod, "intersection_classes", lambda n: table)
     return (
-        "gram_consistency",
+        ("gram_consistency", "orbit_partition_equitable", "divisor_closed_form", *SPECTRUM_READERS),
         "M M^T breaks the intersection-class rule at n=5: entry (0, 1) is 3, expected 6",
     )
 
@@ -125,7 +147,7 @@ def _flipped_a2(monkeypatch, entries):
         num[i][j] = 1 - num[i][j]
     flipped = OrbitalMatrices(a0, a1, RationalMatrix._from_ints(num, 1))
     monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: flipped)
-    return "orbital_commutativity", "class indicator matrices commute"
+    return ("orbital_commutativity",), "class indicator matrices commute"
 
 
 def asymmetric_a2(monkeypatch):
@@ -157,26 +179,25 @@ def wrong_basis_vector(monkeypatch):
         return vectors
 
     _tampered_eigenbasis(monkeypatch, 1, tamper)
-    return "spectrum_certificate", "basis vector 2 is not an eigenvector for 9 at n=5"
+    return SPECTRUM_READERS, "basis vector 2 is not an eigenvector for 9 at n=5"
 
 
 def dependent_family(monkeypatch):
     _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1] + vectors[:1])
-    return "spectrum_certificate", "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
+    return SPECTRUM_READERS, "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
 
 
 def short_count(monkeypatch):
     _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1])
-    return "spectrum_certificate", "multiplicities sum to 14, not 15, at n=5"
+    return SPECTRUM_READERS, "multiplicities sum to 14, not 15, at n=5"
 
 
 def break_fd_crosscheck(monkeypatch):
-    """Make the FD cross-check raise ZeroDivisionError, with its memo empty."""
+    """Make the FD cross-check raise ZeroDivisionError."""
 
     def broken(*args):
         raise ZeroDivisionError("float division by zero")
 
-    report_mod._regular_fd_deviation.cache_clear()
     monkeypatch.setattr(report_mod, "fd_crosscheck", broken)
 
 
@@ -268,9 +289,7 @@ class TestPipeline:
         assert by_name["divisor_char_poly_divides"].status == "fail"
         assert not rep.overall_pass
 
-    def test_underreported_nullity_fails_divisibility_and_spectrum(
-        self, cold_memos, monkeypatch, capsys
-    ):
+    def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
         """A rank that under-reports the eigenvector family of eigenvalue 1
         breaks the certificate, and every check that needs the spectrum fails
         with its message. The rejection is remembered like a result: the five
@@ -282,27 +301,25 @@ class TestPipeline:
         )
         failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
         assert len(calls) == 3
-        spectral_checks = ("divisor_char_poly_divides", "spectrum_certificate")
-        gelfand_checks = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
         message = "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
-        assert failed == dict.fromkeys(spectral_checks + gelfand_checks, message)
+        assert failed == dict.fromkeys(SPECTRUM_READERS, message)
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_without_modular_proofs_every_byte_stays(self, cold_memos, monkeypatch):
+    def test_without_modular_proofs_every_byte_stays(self, monkeypatch, clear_memos):
         """A mod-p rank that never reaches full rank sends every rank to
         Bareiss elimination, and the reports do not change by a byte."""
         rep = verify_single(6, samples=2, seed=3)
         expected = [serialize_report(rep, fmt) for fmt in ("json", "markdown")]
-        record_calls(monkeypatch, ())
+        clear_memos()
         refused = []
         monkeypatch.setattr(linalg_mod, "_rank_mod_p", lambda num: refused.append(num) or 0)
         rep = verify_single(6, samples=2, seed=3)
         assert [serialize_report(rep, fmt) for fmt in ("json", "markdown")] == expected
         assert len(refused) >= 6
 
-    def test_perturbed_adjugate_fails_identity_and_fd(self, cold_memos, monkeypatch, capsys):
+    def test_perturbed_adjugate_fails_identity_and_fd(self, monkeypatch, capsys):
         """One wrong entry of the whole simplex's adjugate spreads into the
         regular Jacobian; the exact identity and the FD cross-check both
         catch it. Entry (1, 2) of the row-swapped matrix's adjugate is entry
@@ -321,19 +338,14 @@ class TestPipeline:
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_wrong_divisor_eigenvector_fails_divisibility_and_gelfand(
-        self, cold_memos, monkeypatch, capsys
-    ):
+    def test_wrong_divisor_eigenvector_fails_divisibility_and_gelfand(self, monkeypatch, capsys):
         """A wrong divisor eigenvector fails the divisor's own proof, which
         the divisibility check and the eigenvector lifts read; the Gram
         spectrum, certified from its eigenvector families alone, passes."""
-        (x, y, z), lam = divisor_eigenpairs(5)[1]
-        _replaced_divisor_pair(monkeypatch, 1, ((x, -y, z), lam))
+        failing, message = wrong_divisor_eigenvector(monkeypatch)
         checks = verify_single(5, 0, 0).checks
         failed = {c.name: c.details for c in checks if c.status == "fail"}
-        message = "divisor eigenvector check failed for 9 at n=5: D v entry (0, 0) is 6, expected -18"
-        gelfand_checks = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
-        assert failed == dict.fromkeys(("divisor_char_poly_divides",) + gelfand_checks, message)
+        assert failed == dict.fromkeys(failing, message)
         assert CheckResult("spectrum_certificate", "pass", "36:1, 9:5, 1:9") in checks
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
@@ -352,24 +364,36 @@ class TestPipeline:
             short_count,
             repeated_divisor_eigenvalue,
             zero_divisor_eigenvector,
+            zero_unit_eigenvector,
         ],
     )
-    def test_stage_fault_fails_its_check(self, cold_memos, monkeypatch, capsys, fault):
-        check, message = fault(monkeypatch)
-        by_name = {c.name: c for c in verify_single(5, samples=0, seed=0).checks}
-        assert by_name[check] == CheckResult(check, "fail", message)
+    def test_stage_fault_fails_its_check(self, monkeypatch, capsys, fault):
+        """A fault fails exactly the checks that read the stage it breaks, all
+        with that stage's message; every other check passes."""
+        checks, message = fault(monkeypatch)
+        rep = verify_single(5, samples=0, seed=0)
+        assert {c.name: c.details for c in rep.checks if c.status != "pass"} == dict.fromkeys(
+            checks, message
+        )
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
 
 def record_calls(monkeypatch, fns):
-    """Empty every facevol memo and record the arguments of each call to
-    the given functions, wherever facevol imported them."""
+    """Record the arguments of each execution of the given functions,
+    wherever facevol imported them. A memoized function is recorded behind
+    a fresh memo of its own, so a memo hit is not an execution."""
     calls = {fn: [] for fn in fns}
 
     def recorder(fn):
-        return lambda *args: calls[fn].append(args) or fn(*args)
+        run = getattr(fn, "__wrapped__", fn)
+
+        def record(*args):
+            calls[fn].append(args)
+            return run(*args)
+
+        return one_slot_memo(record) if run is not fn else record
 
     wrapped = {fn: recorder(fn) for fn in calls}
     for mod in list(sys.modules.values()):
@@ -377,12 +401,20 @@ def record_calls(monkeypatch, fns):
         if name != "facevol" and not name.startswith("facevol."):
             continue
         for attr, value in list(vars(mod).items()):
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
             for fn, wrapper in wrapped.items():
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def record_products(monkeypatch):
+    """Record the operands of every matrix product."""
+    products = []
+    matmul = RationalMatrix.__matmul__
+    monkeypatch.setattr(
+        RationalMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b)
+    )
+    return products
 
 
 class TestComputeOnce:
@@ -424,7 +456,6 @@ class TestComputeOnce:
         """Every Jacobian rank, regular and sampled, forward and reversed, is
         proved mod p: no Bareiss elimination runs inside one, while it still
         runs for the determinants."""
-        record_calls(monkeypatch, ())
         jacobians, open_ranks, leaked, eliminated = [], [], [], []
 
         def jacobian_rank(m):
@@ -490,18 +521,43 @@ class TestComputeOnce:
         """The Gram rule and the orbital matrices read one intersection-class
         table, and commutativity takes one product: the side-21 products are
         M M^T and A1 A2 only."""
-        record_calls(monkeypatch, ())
-        products = []
-        matmul = RationalMatrix.__matmul__
-        monkeypatch.setattr(
-            RationalMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b)
-        )
+        calls = record_calls(monkeypatch, (intersection_classes,))
+        products = record_products(monkeypatch)
         verify_single(6, samples=2, seed=3)
-        assert intersection_classes.cache_info().misses == 1
+        assert calls[intersection_classes] == [(6,)]
         m = build_incidence_matrix(6)
         _, a1, a2 = orbital_matrices(6)
         side_21 = [(a, b) for a, b in products if a.nrows == 21 and b.ncols == 21]
         assert side_21 == [(m, m.transpose()), (a1, a2)]
+
+    def test_failed_divisor_proof_runs_once(self, monkeypatch):
+        """A divisor proof that fails is remembered like a result: the four
+        checks that read it fail with its one error, and the gelfand report,
+        which fails at the eigenvector lifts, is attempted once. So the proof,
+        commutativity and the lifts run once each, and the side-15 products
+        are M M^T and A1 A2, as in a passing report."""
+        failing, message = wrong_divisor_eigenvector(monkeypatch)
+        stages = (check_commutative, match_eigenvectors, divisor_spectrum)
+        calls = record_calls(monkeypatch, stages)
+        products = record_products(monkeypatch)
+        rep = verify_single(5, 0, 0)
+        failed = {c.name: c.details for c in rep.checks if c.status == "fail"}
+        assert failed == dict.fromkeys(failing, message)
+        assert [len(calls[fn]) for fn in stages] == [1, 1, 1]
+        m = build_incidence_matrix(5)
+        _, a1, a2 = orbital_matrices(5)
+        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
+
+    def test_broken_gram_rule_is_built_once(self, monkeypatch):
+        """A Gram matrix whose two constructions disagree fails its eight
+        readers with one error, and M M^T is formed once."""
+        failing, message = misclassify_one_pair(monkeypatch)
+        products = record_products(monkeypatch)
+        rep = verify_single(5, 0, 0)
+        failed = {c.name: c.details for c in rep.checks if c.status == "fail"}
+        assert failed == dict.fromkeys(failing, message) and len(failed) == 8
+        m = build_incidence_matrix(5)
+        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose())]
 
     def test_char_poly_runs_once_on_the_divisor(self, monkeypatch):
         """The Gram char poly is never computed: the divisor proves its own,
@@ -607,6 +663,9 @@ class TestSerialization:
                 TypeError,
             ),
             (lambda d: d["independence"].update(scaling_constant_squared=1.5), TypeError),
+            (lambda d: d.update(bogus=1), ValueError),
+            (lambda d: d["checks"][0].update(bogus=1), ValueError),
+            (lambda d: d["spectrum"]["eigenvalues"][0].update(bogus=1), ValueError),
         ],
         ids=[
             "missing_key",
@@ -626,6 +685,9 @@ class TestSerialization:
             "rational_as_int",
             "rational_as_bool",
             "rational_as_float",
+            "unknown_report_key",
+            "unknown_check_key",
+            "unknown_witness_key",
         ],
     )
     def test_malformed_report_raises_value_error(self, report_n4, tamper, cause):
@@ -634,6 +696,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^malformed report: ") as info:
             parse_report(json.dumps(doc))
         assert type(info.value.__cause__) is cause
+
+    def test_unknown_key_is_named(self, report_n4):
+        doc = json.loads(serialize_report(report_n4, "json"))
+        doc["spectrum"]["eigenvalues"][0]["bogus"] = 1
+        with pytest.raises(ValueError, match="unknown key 'bogus' in EigenvalueWitness"):
+            parse_report(json.dumps(doc))
 
     def test_any_whitespace_parses(self, report_n4):
         doc = json.loads(serialize_report(report_n4, "json"))
@@ -794,6 +862,16 @@ class TestCli:
 
     def test_unknown_format_maps_to_two(self, capsys):
         assert main(["--n", "4", "--format", "xml"]) == 2
+
+    @pytest.mark.parametrize("value, code", [("basic_format", 2), ("verbose", 2), ("info", 0)])
+    def test_log_level_must_be_a_level_name(self, capsys, monkeypatch, value, code):
+        """FACEVOL_LOG takes a level name in any case; anything else, even a
+        logging attribute that is no level, is a usage error."""
+        monkeypatch.setenv("FACEVOL_LOG", value)
+        assert main(["--n", "3", "--samples", "0"]) == code
+        err = capsys.readouterr().err
+        refused = f"error: FACEVOL_LOG='{value}' is not a log level name (see --help)"
+        assert err.startswith(refused) == (code == 2)
 
     def test_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)

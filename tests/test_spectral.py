@@ -166,9 +166,6 @@ class TestDivisor:
         """A divisor eigenvalue of Gram multiplicity 0, or missing from the
         Gram spectrum, breaks the divisibility."""
         cert = full_spectrum(5)
-        for fn in vars(spectral_mod).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
         largest, middle, unit = cert.eigenvalues
         emptied = EigenvalueWitness(middle.value, 0, 15)
         for eigenvalues in ((largest, emptied, unit), (largest, unit)):
