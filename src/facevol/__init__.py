@@ -75,9 +75,7 @@ from .spectral import (
 from .subsets import (
     build_incidence_matrix,
     intersection_classes,
-    orbit_partition,
     subsets_colex,
-    unrank_subset,
 )
 
 __all__ = [
@@ -132,7 +130,5 @@ __all__ = [
     "full_spectrum",
     "build_incidence_matrix",
     "intersection_classes",
-    "orbit_partition",
     "subsets_colex",
-    "unrank_subset",
 ]

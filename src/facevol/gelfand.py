@@ -28,21 +28,21 @@ from .subsets import intersection_classes
 
 
 class OrbitalMatrices(NamedTuple):
-    a0: RationalMatrix
     a1: RationalMatrix
     a2: RationalMatrix
 
 
 def orbital_matrices(n: int) -> OrbitalMatrices:
-    """0/1 indicator matrices of the three intersection classes of codim-2
-    face pairs: equality, overlap n-2, overlap n-3. They sum to all-ones."""
+    """0/1 indicator matrices of the two non-identity intersection classes
+    of codim-2 face pairs: overlap n-2 and overlap n-3. With the identity
+    they sum to all-ones."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     table = intersection_classes(n)
     return OrbitalMatrices(
         *(
             RationalMatrix._from_ints(([int(k == target) for k in row] for row in table), 1)
-            for target in (n - 1, n - 2, n - 3)
+            for target in (n - 2, n - 3)
         )
     )
 
@@ -52,7 +52,7 @@ def check_commutative(n: int) -> bool:
     identity they generate the whole orbit algebra, so this is the full test.
     For symmetric A1 and A2, A2 A1 = (A1 A2)^T, so they commute exactly when
     the one product A1 A2 is symmetric."""
-    _, a1, a2 = orbital_matrices(n)
+    a1, a2 = orbital_matrices(n)
     return a1.is_symmetric() and a2.is_symmetric() and (a1 @ a2).is_symmetric()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import RationalMatrix, det_adjugate, det_fraction_free
+from .linalg import RationalMatrix, det_adjugate, det_fraction_free, format_rational
 from .subsets import MIN_DIMENSION, subsets_colex, validate_subset
 
 
@@ -29,9 +29,14 @@ class EdgeLengthAssignment:
     def __post_init__(self) -> None:
         if self.n < MIN_DIMENSION:
             raise ValueError(f"need n >= {MIN_DIMENSION}, got {self.n}")
-        edges = subsets_colex(self.n + 1, 2)
+        # Count before listing: a wrong n must not enumerate its edges.
+        expected = math.comb(self.n + 1, 2)
+        if len(self.squared_lengths) != expected:
+            raise ValueError(
+                f"expected {expected} edge keys for n={self.n}, got {len(self.squared_lengths)}"
+            )
         clean = {}
-        for edge in edges:
+        for edge in subsets_colex(self.n + 1, 2):
             if edge not in self.squared_lengths:
                 raise ValueError(f"missing squared length for edge {edge}")
             v = self.squared_lengths[edge]
@@ -40,8 +45,6 @@ class EdgeLengthAssignment:
             if v.numerator <= 0:  # the denominator is positive
                 raise ValueError(f"squared length for edge {edge} must be positive")
             clean[edge] = v
-        if len(self.squared_lengths) != len(edges):
-            raise ValueError("unexpected extra edge keys")
         object.__setattr__(self, "squared_lengths", clean)
 
     @classmethod
@@ -98,8 +101,10 @@ def simplex_det_adjugate(E: EdgeLengthAssignment) -> tuple[Fraction, RationalMat
     positive, and a failure anywhere makes some chain value nonpositive."""
     d = cayley_menger_matrix(E, range(1, E.n + 2))
     minors, adj = det_adjugate(RationalMatrix._from_ints((d.num[1], d.num[0], *d.num[2:]), d.den))
-    if any((-1) ** (k + 1) * minors[k] <= 0 for k in range(3, E.n + 2)):
-        raise ValueError("degenerate edge-length assignment")
+    for k in range(3, E.n + 2):
+        if (-1) ** (k + 1) * minors[k] <= 0:
+            value = format_rational(minors[k])
+            raise ValueError(f"degenerate edge-length assignment at n={E.n}: minor {k} is {value}")
     # adj(P D) = adj(D) adj(P) = -adj(D) P: negate, and swap columns 0 and 1 back.
     adj_d = ([-row[1], -row[0], *(-x for x in row[2:])] for row in adj.num)
     return -minors[-1], RationalMatrix._from_ints(adj_d, adj.den)

@@ -44,13 +44,7 @@ from .linalg import (
     format_rational,
     rank,
 )
-from .subsets import (
-    build_incidence_matrix,
-    intersection_classes,
-    orbit_partition,
-    subsets_colex,
-    unrank_subset,
-)
+from .subsets import build_incidence_matrix, intersection_classes, subsets_colex
 
 
 def _first_deviation(a: RationalMatrix, b: RationalMatrix) -> str:
@@ -138,9 +132,12 @@ def divisor_closed_form(n: int) -> RationalMatrix:
 
 @one_slot_memo
 def divisor_quotient(n: int) -> DivisorQuotient:
-    """Quotient of the Gram matrix by the stabilizer orbits of the first face."""
-    base = unrank_subset(n + 1, n - 1, 0)
-    return check_equitable(build_gram(n), orbit_partition(n, base))
+    """Quotient of the Gram matrix by the stabilizer orbits of the first face:
+    the faces meeting it in n-1, n-2 and n-3 vertices, read off row 0 of the
+    intersection-class table. Cell sizes are 1, 2(n-1), C(n-1,2)."""
+    first = intersection_classes(n)[0]
+    cells = [[v for v, k in enumerate(first) if k == size] for size in (n - 1, n - 2, n - 3)]
+    return check_equitable(build_gram(n), cells)
 
 
 @one_slot_memo

@@ -5,6 +5,7 @@ obviously-correct routes (cofactor expansion, symbolic row reduction via
 sympy, Heron's formula, exact difference quotients, one cofactor determinant
 per Jacobian entry, one pivoting adjugate per face's Cayley-Menger matrix,
 the nondegeneracy chain of exact squared volumes, the closed-form colex rank,
+stabilizer orbits and class indicators by set intersections,
 report JSON through ``json.dumps``) and then compared against both the
 frozen literal and the library implementation.
 """
@@ -75,7 +76,7 @@ def dense(x: Sequence[tuple[int, int]], size: int) -> list[int]:
 
 
 def rank_subset(n_total: int, s: Sequence[int]) -> int:
-    """Colex rank of a k-subset; inverse of ``unrank_subset``."""
+    """Colex rank of a k-subset: its position in ``subsets_colex``."""
     t = validate_subset(n_total, s)
     return sum(comb(v - 1, i + 1) for i, v in enumerate(t))
 
@@ -86,6 +87,27 @@ def intersection_class(a: Sequence[int], b: Sequence[int]) -> int:
     if len(ta) != len(tb):
         raise ValueError(f"cardinality mismatch: {len(ta)} vs {len(tb)}")
     return len(set(ta) & set(tb))
+
+
+def class_indicator(n: int, size: int) -> RationalMatrix:
+    """0/1 matrix of the codim-2 face pairs that meet in ``size`` vertices,
+    one set intersection per pair; size n - 1 gives the identity."""
+    faces = list(combinations(range(1, n + 2), n - 1))
+    faces.sort(key=lambda f: rank_subset(n + 1, f))
+    return RationalMatrix([[int(intersection_class(f, g) == size) for g in faces] for f in faces])
+
+
+def orbit_partition(n: int, base: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The three orbits of the stabilizer of the codim-2 face ``base``, as
+    colex ranks: the base itself, the faces meeting it in n-2 vertices, and
+    those meeting it in n-3. One set intersection per face."""
+    b = set(validate_subset(n + 1, base))
+    if len(b) != n - 1:
+        raise ValueError(f"base must be an (n-1)-subset, got {base}")
+    cells: dict[int, list[int]] = {n - 1: [], n - 2: [], n - 3: []}
+    for f in combinations(range(1, n + 2), n - 1):
+        cells[len(b & set(f))].append(rank_subset(n + 1, f))
+    return tuple(tuple(sorted(cells[k])) for k in (n - 1, n - 2, n - 3))
 
 
 def with_squared(

@@ -15,22 +15,24 @@ from facevol.gelfand import (
 from facevol.linalg import RationalMatrix, rank
 from facevol.spectral import build_gram, full_spectrum
 
-from oracles import identity, to_sympy
+from oracles import class_indicator, identity, orbit_partition, to_sympy
 
 
 class TestOrbitalMatrices:
     def test_a0_is_identity(self):
-        a0, _, _ = orbital_matrices(4)
-        assert a0 == identity(10)
+        """The equality class is the diagonal; the built classes are the
+        pairs that meet in 2 and in 1 vertices."""
+        assert class_indicator(4, 3) == identity(10)
+        assert orbital_matrices(4) == (class_indicator(4, 2), class_indicator(4, 1))
 
     def test_row_sums_n4(self):
-        _, a1, a2 = orbital_matrices(4)
+        a1, a2 = orbital_matrices(4)
         assert {sum(row) for row in a1.rows} == {6}
         assert {sum(row) for row in a2.rows} == {3}
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_classes_partition_all_pairs(self, n):
-        a0, a1, a2 = orbital_matrices(n)
+        a0, (a1, a2) = class_indicator(n, n - 1), orbital_matrices(n)
         size = comb(n + 1, 2)
         assert to_sympy(a0) + to_sympy(a1) + to_sympy(a2) == sympy.ones(size)
         assert a1.is_symmetric() and a2.is_symmetric()
@@ -51,11 +53,11 @@ class TestCommutativity:
         a1 = RationalMatrix([[0, 1], [0, 0]])
         a2 = a1.transpose()
         assert (a1 @ a2).is_symmetric() and a1 @ a2 != a2 @ a1
-        monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: (identity(2), a1, a2))
+        monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: (a1, a2))
         assert not check_commutative(4)
 
     def test_nonsymmetric_control_breaks_it(self):
-        _, a1, _ = orbital_matrices(4)
+        a1, _ = orbital_matrices(4)
         bad_rows = [[0] * 10 for _ in range(10)]
         bad_rows[0][1] = 1
         bad = RationalMatrix(bad_rows)
@@ -107,10 +109,8 @@ class TestEigenvectorMatching:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_lifts_are_exact_eigenvectors(self, n):
-        from facevol.subsets import orbit_partition, unrank_subset
-
         gram = build_gram(n)
-        partition = orbit_partition(n, unrank_subset(n + 1, n - 1, 0))
+        partition = orbit_partition(n, tuple(range(1, n)))
         cell_of = {v: i for i, cell in enumerate(partition) for v in cell}
         lifted = []
         for m in match_eigenvectors(n):

@@ -298,6 +298,20 @@ class TestAssignment:
         with pytest.raises(ValueError):
             EdgeLengthAssignment(4, {(1, 2): Fraction(1)})
 
+    def test_counts_keys_before_listing_edges(self, monkeypatch):
+        """A wrong key count, extra keys included, is refused before the
+        edges of the claimed n are listed."""
+        extra = {e: 1 for e in subsets_colex(5, 2)} | {(1, 9): 1}
+
+        def unlisted(*args):
+            raise AssertionError("edges were listed")
+
+        monkeypatch.setattr(geometry_mod, "subsets_colex", unlisted)
+        with pytest.raises(ValueError, match="^expected 500000500000 edge keys for n=1000000, got 1$"):
+            EdgeLengthAssignment(10**6, {(1, 2): 1})
+        with pytest.raises(ValueError, match="^expected 10 edge keys for n=4, got 11$"):
+            EdgeLengthAssignment(4, extra)
+
     def test_requires_positive(self):
         sq = {e: Fraction(1) for e in subsets_colex(5, 2)}
         for bad in (Fraction(0), Fraction(-1, 3), 0, -2):

@@ -139,13 +139,30 @@ def misclassify_one_pair(monkeypatch):
     )
 
 
+def reject_regular_adjugate(monkeypatch):
+    # Chain minor 3 of the regular point (-det CM{1,2,3} = 3) read with the
+    # wrong sign: the Jacobian refuses the point, while geometry sanity's
+    # Bareiss face volumes stay right.
+    eliminate = geometry_mod.det_adjugate
+
+    def flipped(m):
+        minors, adj = eliminate(m)
+        return minors[:3] + (-minors[3],) + minors[4:], adj
+
+    monkeypatch.setattr(geometry_mod, "det_adjugate", flipped)
+    return (
+        ("jacobian_identity", "independence_certificate", "fd_crosscheck"),
+        "ValueError: degenerate edge-length assignment at n=5: minor 3 is -3",
+    )
+
+
 def _flipped_a2(monkeypatch, entries):
     """Serve orbital matrices whose A2 has the given entries flipped."""
-    a0, a1, a2 = orbital_matrices(5)
+    a1, a2 = orbital_matrices(5)
     num = [list(row) for row in a2.num]
     for i, j in entries:
         num[i][j] = 1 - num[i][j]
-    flipped = OrbitalMatrices(a0, a1, RationalMatrix._from_ints(num, 1))
+    flipped = OrbitalMatrices(a1, RationalMatrix._from_ints(num, 1))
     monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: flipped)
     return ("orbital_commutativity",), "class indicator matrices commute"
 
@@ -365,6 +382,7 @@ class TestPipeline:
             repeated_divisor_eigenvalue,
             zero_divisor_eigenvector,
             zero_unit_eigenvector,
+            reject_regular_adjugate,
         ],
     )
     def test_stage_fault_fails_its_check(self, monkeypatch, capsys, fault):
@@ -518,15 +536,15 @@ class TestComputeOnce:
         assert calls == {det_fraction_free: [], squared_volume: []}
 
     def test_orbit_algebra_built_once(self, monkeypatch):
-        """The Gram rule and the orbital matrices read one intersection-class
-        table, and commutativity takes one product: the side-21 products are
-        M M^T and A1 A2 only."""
+        """The Gram rule, the stabilizer orbits and the orbital matrices read
+        one intersection-class table, and commutativity takes one product:
+        the side-21 products are M M^T and A1 A2 only."""
         calls = record_calls(monkeypatch, (intersection_classes,))
         products = record_products(monkeypatch)
         verify_single(6, samples=2, seed=3)
         assert calls[intersection_classes] == [(6,)]
         m = build_incidence_matrix(6)
-        _, a1, a2 = orbital_matrices(6)
+        a1, a2 = orbital_matrices(6)
         side_21 = [(a, b) for a, b in products if a.nrows == 21 and b.ncols == 21]
         assert side_21 == [(m, m.transpose()), (a1, a2)]
 
@@ -545,7 +563,7 @@ class TestComputeOnce:
         assert failed == dict.fromkeys(failing, message)
         assert [len(calls[fn]) for fn in stages] == [1, 1, 1]
         m = build_incidence_matrix(5)
-        _, a1, a2 = orbital_matrices(5)
+        a1, a2 = orbital_matrices(5)
         assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
 
     def test_broken_gram_rule_is_built_once(self, monkeypatch):
@@ -569,9 +587,9 @@ class TestComputeOnce:
 
     def test_each_sampled_point_is_checked_once(self, monkeypatch):
         """Each sampled candidate, accepted or rejected, is eliminated once,
-        and the regular point once per n, shared by geometry sanity, the
-        regular Jacobian and the FD check. The first candidate is rejected by
-        a flipped chain minor."""
+        and the regular point once per n, shared by the Jacobian identity,
+        the independence certificate and the FD check. The first candidate
+        is rejected by a flipped chain minor."""
         calls = record_calls(monkeypatch, (simplex_det_adjugate, det_adjugate))
         eliminate = geometry_mod.det_adjugate
 
@@ -666,6 +684,7 @@ class TestSerialization:
             (lambda d: d.update(bogus=1), ValueError),
             (lambda d: d["checks"][0].update(bogus=1), ValueError),
             (lambda d: d["spectrum"]["eigenvalues"][0].update(bogus=1), ValueError),
+            (lambda d: d["independence"]["points"][0].update(n=800), ValueError),
         ],
         ids=[
             "missing_key",
@@ -688,6 +707,7 @@ class TestSerialization:
             "unknown_report_key",
             "unknown_check_key",
             "unknown_witness_key",
+            "edge_count_of_another_n",
         ],
     )
     def test_malformed_report_raises_value_error(self, report_n4, tamper, cause):

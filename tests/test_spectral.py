@@ -19,22 +19,19 @@ from facevol.spectral import (
     divisor_divides,
     divisor_eigenpairs,
     divisor_matrix,
+    divisor_quotient,
     eigenbasis,
     full_spectrum,
     spectrum_summary,
 )
-from facevol.subsets import (
-    build_incidence_matrix,
-    orbit_partition,
-    subsets_colex,
-    unrank_subset,
-)
+from facevol.subsets import build_incidence_matrix, subsets_colex
 
 from oracles import (
     bareiss_rank,
     dense,
     identity,
     intersection_class,
+    orbit_partition,
     poly_divides,
     poly_from_roots,
     rank_subset,
@@ -84,7 +81,7 @@ class TestEquitable:
 
     def test_rational_weights_scale_the_quotient(self):
         gram = build_gram(5)
-        partition = orbit_partition(5, unrank_subset(6, 4, 0))
+        partition = orbit_partition(5, (1, 2, 3, 4))
         half = check_equitable(gram.scaled(Fraction(1, 2)), partition)
         assert half.equitable
         assert half.quotient == check_equitable(gram, partition).quotient.scaled(
@@ -111,9 +108,7 @@ class TestEquitable:
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_orbit_partition_equitable(self, n):
-        gram = build_gram(n)
-        base = unrank_subset(n + 1, n - 1, 0)
-        assert check_equitable(gram, orbit_partition(n, base)).equitable
+        assert divisor_quotient(n).equitable
 
 
 class TestDivisor:
@@ -133,8 +128,7 @@ class TestDivisor:
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_closed_form_matches_quotient(self, n):
-        base = unrank_subset(n + 1, n - 1, 0)
-        dq = check_equitable(build_gram(n), orbit_partition(n, base))
+        dq = check_equitable(build_gram(n), orbit_partition(n, tuple(range(1, n))))
         assert dq.quotient == divisor_closed_form(n)
         assert divisor_matrix(n) == divisor_closed_form(n)
 
