@@ -23,7 +23,13 @@ from .claims import (
 )
 from .exceptions import IntegrityError, one_slot_memo
 from .linalg import RationalMatrix, rank
-from .spectral import build_gram, divisor_quotient, divisor_spectrum, full_spectrum
+from .spectral import (
+    _first_deviation,
+    build_gram,
+    divisor_quotient,
+    divisor_spectrum,
+    full_spectrum,
+)
 from .subsets import intersection_classes
 
 
@@ -47,13 +53,22 @@ def orbital_matrices(n: int) -> OrbitalMatrices:
     )
 
 
+def commutativity_defect(n: int) -> str | None:
+    """None when A1, A2 and the one product A1 A2 are all symmetric;
+    otherwise the first of them that is not, and its first entry that differs
+    from the transposed one. For symmetric A1 and A2, A2 A1 = (A1 A2)^T, so
+    they commute exactly when A1 A2 is symmetric."""
+    a1, a2 = orbital_matrices(n)
+    for name, m in (("A1", a1), ("A2", a2), ("A1 A2", a1 @ a2)):
+        if not m.is_symmetric():
+            return f"{name} is not symmetric: {_first_deviation(m, m.transpose())}"
+    return None
+
+
 def check_commutative(n: int) -> bool:
     """Exact commutativity of the two non-identity class matrices; with the
-    identity they generate the whole orbit algebra, so this is the full test.
-    For symmetric A1 and A2, A2 A1 = (A1 A2)^T, so they commute exactly when
-    the one product A1 A2 is symmetric."""
-    a1, a2 = orbital_matrices(n)
-    return a1.is_symmetric() and a2.is_symmetric() and (a1 @ a2).is_symmetric()
+    identity they generate the whole orbit algebra, so this is the full test."""
+    return commutativity_defect(n) is None
 
 
 def eigenspace_dimensions(n: int) -> tuple[int, ...]:

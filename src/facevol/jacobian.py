@@ -196,8 +196,10 @@ def fd_crosscheck(
     derivatives from ``jac``, the squared-coordinate Jacobian at E, and the
     largest absolute chain-ruled derivative, the scale to judge the deviation
     by: face volumes shrink fast with n, and so does any absolute deviation.
-    Second-order accurate in the step. Raises ValueError when some face's
-    float squared volume is not positive."""
+    Both are maxima over every entry; off a face's edges the FD value is 0.
+    Faces with equal float matrices share their determinants. Second-order
+    accurate in the step. Raises ValueError when some face's float squared
+    volume is not positive."""
     if step <= 0:
         raise ValueError("step must be positive")
     faces = subsets_colex(E.n + 1, E.n - 1)
@@ -205,32 +207,30 @@ def fd_crosscheck(
     if (jac.nrows, jac.ncols) != (len(faces), len(edges)):
         raise ValueError(f"{jac!r} is not a Jacobian at an n={E.n} point")
     column = {e: j for j, e in enumerate(edges)}
-    base_sq = {e: float(v) for e, v in E.squared_lengths.items()}
-    k = E.n - 2
-    coeff = float(_cm_constant(k))
-    worst = largest = 0.0
+    sq = [float(E.squared_lengths[e]) for e in edges]
+    k, coeff = E.n - 2, float(_cm_constant(E.n - 2))
+    fvol, fd = np.empty(len(faces)), np.zeros((len(faces), len(edges)))
+    shared = {}  # a face's squared lengths in slot order -> (volume, FD row)
     for i, face in enumerate(faces):
-        # The face's float Cayley-Menger matrix, with its edges at slots (a, b)
-        # and (b, a); FD of an untouched face is exactly zero, as is its entry.
-        base = np.zeros((k + 2, k + 2))
-        base[0, 1:] = base[1:, 0] = 1.0
-        pairs = list(combinations(enumerate(face, start=1), 2))
-        for (a, u), (b, w) in pairs:
-            base[a, b] = base[b, a] = base_sq[(u, w)]
-        vol2 = coeff * np.linalg.det(base)
-        if not vol2 > 0:
-            raise ValueError(f"degenerate face {face}: float squared volume {vol2:.3g}")
-        fvol = math.sqrt(vol2)
-        # Matrices 2t and 2t + 1 of the stack lengthen and shorten edge t.
-        stack = np.repeat(base[None], 2 * len(pairs), axis=0)
-        exact = np.empty(len(pairs))
-        for t, ((a, u), (b, w)) in enumerate(pairs):
-            elen = math.sqrt(base_sq[(u, w)])
-            exact[t] = elen / fvol * float(jac[i, column[(u, w)]])
-            stack[2 * t, a, b] = stack[2 * t, b, a] = (elen + step) ** 2
-            stack[2 * t + 1, a, b] = stack[2 * t + 1, b, a] = (elen - step) ** 2
-        vols = np.sqrt(np.maximum(coeff * np.linalg.det(stack), 0.0))
-        devs = np.abs((vols[0::2] - vols[1::2]) / (2 * step) - exact)
-        worst = max(worst, *devs.tolist())
-        largest = max(largest, *np.abs(exact).tolist())
-    return worst, largest
+        # Edge cols[t] sits at slots (a[t], b[t]) and (b[t], a[t]) of the face's matrix.
+        pairs = combinations(enumerate(face, start=1), 2)
+        a, b, cols = zip(*[(p, q, column[(u, w)]) for (p, u), (q, w) in pairs])
+        key = tuple(sq[j] for j in cols)
+        if key not in shared:
+            base = np.zeros((k + 2, k + 2))
+            base[0, 1:] = base[1:, 0] = 1.0
+            base[a, b] = base[b, a] = key
+            vol2 = coeff * np.linalg.det(base)
+            if not vol2 > 0:
+                raise ValueError(f"degenerate face {face}: float squared volume {vol2:.3g}")
+            # Stack matrix (0, t) lengthens edge t and matrix (1, t) shortens it.
+            stack = np.repeat(base[None, None], len(key), axis=1).repeat(2, axis=0)
+            t = range(len(key))
+            stack[0, t, a, b] = stack[0, t, b, a] = [(math.sqrt(x) + step) ** 2 for x in key]
+            stack[1, t, a, b] = stack[1, t, b, a] = [(math.sqrt(x) - step) ** 2 for x in key]
+            vols = np.sqrt(np.maximum(coeff * np.linalg.det(stack), 0.0))
+            shared[key] = math.sqrt(vol2), (vols[0] - vols[1]) / (2 * step)
+        fvol[i], fd[i, cols] = shared[key]
+    # length_e / volume_f times num / den, an int true division like float(Fraction)
+    exact = np.sqrt(sq) / fvol[:, None] * (np.array(jac.num, dtype=object) / jac.den).astype(float)
+    return float(np.abs(fd - exact).max()), float(np.abs(exact).max())

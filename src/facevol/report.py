@@ -19,6 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Any, Callable, get_args, get_origin, get_type_hints
@@ -26,7 +27,7 @@ from typing import Any, Callable, get_args, get_origin, get_type_hints
 from . import __version__
 from .claims import ClaimRecord
 from .exceptions import IntegrityError, one_slot_memo
-from .gelfand import GelfandReport, gelfand_report
+from .gelfand import GelfandReport, commutativity_defect, gelfand_report
 from .geometry import (
     EdgeLengthAssignment,
     all_codim2_squared_volumes,
@@ -42,15 +43,17 @@ from .jacobian import (
 from .linalg import format_rational, parse_rational
 from .spectral import (
     SpectrumCertificate,
+    _first_deviation,
     build_gram,
     det_incidence,
     divisor_divides,
     divisor_matrix,
     divisor_quotient,
+    divisor_spectrum,
     full_spectrum,
     spectrum_summary,
 )
-from .subsets import build_incidence_matrix
+from .subsets import build_incidence_matrix, subsets_colex
 
 log = logging.getLogger("facevol")
 
@@ -98,7 +101,8 @@ class VerificationReport:
 
 
 # Each check reads the report's fields (n, samples, seed, ...) from one dict,
-# stores the certificate it produces there, and returns (ok, details). Any
+# stores the certificate it produces there, and returns (ok, details); failing
+# details name the identity that broke, n and the first offending value. Any
 # exception it raises is recorded as a failure of that check: an
 # IntegrityError by its message, any other as "<TypeName>: <message>".
 # Every artefact that depends on n alone, these checks included, is a one-slot
@@ -110,8 +114,13 @@ def _geometry_sanity(n: int) -> tuple[bool, str]:
     regular = EdgeLengthAssignment.regular(n)
     f2 = unit_regular_squared_volume(n - 2)
     vols = all_codim2_squared_volumes(regular)
-    ok = all(v == f2 for v in vols)
-    return ok, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
+    for face, v in zip(subsets_colex(n + 1, n - 1), vols):
+        if v != f2:
+            return False, (
+                f"codim-2 face {face} has squared volume {format_rational(v)}, "
+                f"not {format_rational(f2)}, at n={n}"
+            )
+    return True, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
 
 
 @one_slot_memo
@@ -129,8 +138,13 @@ def _incidence_structure(n: int) -> tuple[bool, str]:
 
 @one_slot_memo
 def _jacobian_identity(n: int) -> tuple[bool, str]:
-    ok = scaled_jacobian_at_regular(n) == build_incidence_matrix(n)
-    return ok, "scaled Jacobian at the regular point equals the incidence matrix"
+    scaled, m = scaled_jacobian_at_regular(n), build_incidence_matrix(n)
+    if scaled != m:
+        return False, (
+            "scaled Jacobian at the regular point differs from the incidence matrix "
+            f"at n={n}: {_first_deviation(scaled, m)}"
+        )
+    return True, "scaled Jacobian at the regular point equals the incidence matrix"
 
 
 def _independence(r: dict) -> tuple[bool, str]:
@@ -145,7 +159,19 @@ def _gram_consistency(r: dict) -> tuple[bool, str]:
 
 
 def _equitable(r: dict) -> tuple[bool, str]:
-    return divisor_quotient(r["n"]).equitable, "stabilizer orbit partition is equitable"
+    n = r["n"]
+    dq = divisor_quotient(n)
+    if dq.equitable:
+        return True, "stabilizer orbit partition is equitable"
+    # Name the first face whose weights into the cells differ from those of
+    # its cell's first face; the integer Gram matrix gives the weights.
+    num, cells = build_gram(n).num, dq.partition
+    weights = [", ".join(str(sum(num[v][w] for w in c)) for c in cells) for v in range(len(num))]
+    v, u = next((v, c[0]) for c in cells for v in c if weights[v] != weights[c[0]])
+    return False, (
+        f"stabilizer orbit partition is not equitable at n={n}: face {v} has cell "
+        f"weights ({weights[v]}), face {u} of its cell has ({weights[u]})"
+    )
 
 
 def _divisor_closed(r: dict) -> tuple[bool, str]:
@@ -154,7 +180,15 @@ def _divisor_closed(r: dict) -> tuple[bool, str]:
 
 
 def _divides(r: dict) -> tuple[bool, str]:
-    return divisor_divides(r["n"]), "divisor char poly divides Gram char poly"
+    n = r["n"]
+    if divisor_divides(n):
+        return True, "divisor char poly divides Gram char poly"
+    multiplicity = {w.value: w.multiplicity for w in full_spectrum(n).eigenvalues}
+    lams = ", ".join(f"{lam}:{multiplicity.get(lam, 0)}" for _, lam in divisor_spectrum(n))
+    return False, (
+        f"divisor char poly does not divide Gram char poly at n={n}: "
+        f"Gram multiplicities of the divisor eigenvalues {lams}"
+    )
 
 
 def _spectrum(r: dict) -> tuple[bool, str]:
@@ -170,8 +204,12 @@ def _determinant(r: dict) -> tuple[bool, str]:
 
 
 def _commutativity(r: dict) -> tuple[bool, str]:
-    g = r["gelfand"] = gelfand_report(r["n"])  # the first of the gelfand checks
-    return g.commutative, "class indicator matrices commute"
+    n = r["n"]
+    g = r["gelfand"] = gelfand_report(n)  # the first of the gelfand checks
+    if not g.commutative:
+        defect = commutativity_defect(n)
+        return False, f"class indicator matrices do not commute at n={n}: {defect}"
+    return True, "class indicator matrices commute"
 
 
 def _eigenspace_structure(r: dict) -> tuple[bool, str]:
@@ -268,22 +306,18 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
 
 
-def _verify_args(args: tuple[int, int, int]) -> VerificationReport:
-    n, samples, seed = args
-    return verify_single(n, samples, seed)
-
-
 def run_verification(config: RunConfig) -> list[VerificationReport]:
     """One report per requested n; parallel over n when jobs > 1. Output is
     independent of the parallelism degree."""
-    work = [(n, config.samples, config.seed) for n in config.n_values]
-    if config.jobs > 1 and len(work) > 1:
+    n_values = config.n_values
+    args = (n_values, repeat(config.samples), repeat(config.seed))
+    if config.jobs > 1 and len(n_values) > 1:
         # imported only here: loading it costs every run some 15 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(work))) as pool:
-            return list(pool.map(_verify_args, work))
-    return [_verify_args(w) for w in work]
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(n_values))) as pool:
+            return list(pool.map(verify_single, *args))
+    return list(map(verify_single, *args))
 
 
 # The JSON codec. The dataclasses are the schema: a dataclass is an object

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -289,18 +290,43 @@ class TestFdCrosscheck:
         assert (dev, largest) == fd_deviation_by_edge(E, zero, FD_STEP)
         assert dev > FD_TOLERANCE * largest
 
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_entry_off_the_face_edges_fails(self, n):
+        """An edge that is not on a face does not move its volume, so a
+        nonzero Jacobian entry there is wrong however small the others are."""
+        E = EdgeLengthAssignment.regular(n)
+        jac = jacobian_squared_map(E)
+        rows = [list(row) for row in jac.rows]
+        # Face 0 is {1..n-1}; the edge (1, n) is the first it misses.
+        rows[0][comb(n - 1, 2)] = max(rows[0])
+        dev, largest = fd_crosscheck(E, RationalMatrix(rows), FD_STEP)
+        assert dev > FD_TOLERANCE * largest
+
+    def test_congruent_faces_share_their_determinants(self, monkeypatch):
+        """At the regular point every face is congruent to the first: one
+        determinant for its volume and one stacked call for its FD row."""
+        E = EdgeLengthAssignment.regular(6)
+        jac = jacobian_squared_map(E)
+        det, calls = np.linalg.det, []
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or det(m))
+        dev, largest = fd_crosscheck(E, jac, FD_STEP)
+        assert dev <= FD_TOLERANCE * largest
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("n", [10, 12])
-    @pytest.mark.parametrize("fault", ["zeroed", "perturbed"])
+    @pytest.mark.parametrize("fault", ["zeroed", "perturbed", "perturbed_last"])
     def test_wrong_jacobian_fails_the_check_at_large_n(self, monkeypatch, n, fault):
         """Face volumes shrink fast with n, so an absolute bound lets a zeroed
         Jacobian pass from n = 10 on; the bound relative to the largest exact
-        derivative still catches it, and a 1% error in one entry."""
+        derivative still catches it, and a 1% error in one entry of the first
+        face or of the last, which reuses the first face's float work."""
         jac = jacobian_squared_map(EdgeLengthAssignment.regular(n))
         rows = [list(row) for row in jac.rows]
         if fault == "zeroed":
             rows = [[0] * jac.ncols] * jac.nrows
         else:
-            rows[0][rows[0].index(max(rows[0]))] *= Fraction(101, 100)
+            row = rows[0] if fault == "perturbed" else rows[-1]
+            row[row.index(max(row))] *= Fraction(101, 100)
         monkeypatch.setattr(report_mod, "regular_jacobian", lambda m: RationalMatrix(rows))
         ok, details = report_mod._fd(n)
         assert not ok, details

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,8 +45,10 @@ from facevol.report import (
 )
 from facevol.spectral import (
     build_gram,
+    check_equitable,
     divisor_eigenpairs,
     divisor_matrix,
+    divisor_quotient,
     divisor_spectrum,
     full_spectrum,
 )
@@ -156,7 +159,22 @@ def reject_regular_adjugate(monkeypatch):
     )
 
 
-def _flipped_a2(monkeypatch, entries):
+def wrong_face_volume(monkeypatch):
+    # Only geometry sanity reads the exact face volumes; the Jacobian and the
+    # FD cross-check take theirs from the whole simplex's adjugate.
+    exact = geometry_mod.squared_volume
+
+    def doubled(E, face):
+        return exact(E, face) * (2 if tuple(face) == (1, 2, 3, 5) else 1)
+
+    monkeypatch.setattr(geometry_mod, "squared_volume", doubled)
+    return (
+        ("geometry_sanity",),
+        "codim-2 face (1, 2, 3, 5) has squared volume 1/36, not 1/72, at n=5",
+    )
+
+
+def _flipped_a2(monkeypatch, entries, defect):
     """Serve orbital matrices whose A2 has the given entries flipped."""
     a1, a2 = orbital_matrices(5)
     num = [list(row) for row in a2.num]
@@ -164,15 +182,18 @@ def _flipped_a2(monkeypatch, entries):
         num[i][j] = 1 - num[i][j]
     flipped = OrbitalMatrices(a1, RationalMatrix._from_ints(num, 1))
     monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: flipped)
-    return ("orbital_commutativity",), "class indicator matrices commute"
+    return ("orbital_commutativity",), f"class indicator matrices do not commute at n=5: {defect}"
 
 
 def asymmetric_a2(monkeypatch):
-    return _flipped_a2(monkeypatch, [(0, 1)])
+    defect = "A2 is not symmetric: entry (0, 1) is 1, expected 0"
+    return _flipped_a2(monkeypatch, [(0, 1)], defect)
 
 
 def noncommuting_a2(monkeypatch):
-    return _flipped_a2(monkeypatch, [(0, 1), (1, 0)])
+    # A2 stays symmetric, and the one product A1 A2 is not.
+    defect = "A1 A2 is not symmetric: entry (0, 2) is 3, expected 4"
+    return _flipped_a2(monkeypatch, [(0, 1), (1, 0)], defect)
 
 
 def family_matrix(n, which):
@@ -306,6 +327,29 @@ class TestPipeline:
         assert by_name["divisor_char_poly_divides"].status == "fail"
         assert not rep.overall_pass
 
+    def test_false_stage_results_name_the_offending_value(self, monkeypatch):
+        """A stage that answers False fails its check with the identity that
+        broke, n and the first offending value, not with the pass details."""
+        cert = full_spectrum(5)
+        largest, middle, unit = cert.eigenvalues
+        emptied = replace(cert, eigenvalues=(largest, replace(middle, multiplicity=0), unit))
+        for mod in (spectral_mod, report_mod):
+            monkeypatch.setattr(mod, "full_spectrum", lambda n: emptied)
+        assert report_mod._divides({"n": 5}) == (
+            False,
+            "divisor char poly does not divide Gram char poly at n=5: "
+            "Gram multiplicities of the divisor eigenvalues 36:1, 9:0, 1:9",
+        )
+        # Move the first face of the middle orbit into the far one.
+        base, middle, far = divisor_quotient(5).partition
+        split = check_equitable(build_gram(5), (base, middle[1:], middle[:1] + far))
+        monkeypatch.setattr(report_mod, "divisor_quotient", lambda n: split)
+        assert report_mod._equitable({"n": 5}) == (
+            False,
+            "stabilizer orbit partition is not equitable at n=5: "
+            "face 6 has cell weights (3, 20, 13), face 2 of its cell has (3, 18, 15)",
+        )
+
     def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
         """A rank that under-reports the eigenvector family of eigenvalue 1
         breaks the certificate, and every check that needs the spectrum fails
@@ -338,8 +382,8 @@ class TestPipeline:
 
     def test_perturbed_adjugate_fails_identity_and_fd(self, monkeypatch, capsys):
         """One wrong entry of the whole simplex's adjugate spreads into the
-        regular Jacobian; the exact identity and the FD cross-check both
-        catch it. Entry (1, 2) of the row-swapped matrix's adjugate is entry
+        regular Jacobian; the exact identity, which names its first wrong
+        entry, and the FD cross-check both catch it. Entry (1, 2) of the row-swapped matrix's adjugate is entry
         (1, 2) of adj D, negated."""
 
         def perturbed(m):
@@ -349,8 +393,12 @@ class TestPipeline:
             return minors, RationalMatrix._from_ints(num, adj.den)
 
         monkeypatch.setattr(geometry_mod, "det_adjugate", perturbed)
-        failed = {c.name for c in verify_single(5, samples=0, seed=0).checks if c.status == "fail"}
-        assert {"jacobian_identity", "fd_crosscheck"} <= failed
+        failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
+        assert {"jacobian_identity", "fd_crosscheck"} <= failed.keys()
+        assert failed["jacobian_identity"] == (
+            "scaled Jacobian at the regular point differs from the incidence matrix at n=5: "
+            "entry (4, 2) is 5/6, expected 1"
+        )
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
@@ -383,6 +431,7 @@ class TestPipeline:
             zero_divisor_eigenvector,
             zero_unit_eigenvector,
             reject_regular_adjugate,
+            wrong_face_volume,
         ],
     )
     def test_stage_fault_fails_its_check(self, monkeypatch, capsys, fault):
@@ -809,7 +858,8 @@ class TestGolden:
     tests/golden` (and again with `--format markdown`). CI also compares
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
     --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`,
-    written the same way with `--n 20 --max-n 24`. The JSON array
+    `verify_n24.json` and `verify_n28.json`, written the same way with
+    `--n 20 --max-n 24`, `--n 24 --max-n 24` and `--n 28 --max-n 28`. The JSON array
     `verify_n3-5.json` is the stdout of `python -m facevol --n-range 3:5
     --seed 42 --samples 3`."""
 
