@@ -25,6 +25,7 @@ from .exceptions import IntegrityError, one_slot_memo
 from .linalg import RationalMatrix, rank
 from .spectral import (
     _first_deviation,
+    _first_entry,
     build_gram,
     divisor_quotient,
     divisor_spectrum,
@@ -53,6 +54,7 @@ def orbital_matrices(n: int) -> OrbitalMatrices:
     )
 
 
+@one_slot_memo
 def commutativity_defect(n: int) -> str | None:
     """None when A1, A2 and the one product A1 A2 are all symmetric;
     otherwise the first of them that is not, and its first entry that differs
@@ -92,23 +94,19 @@ def match_eigenvectors(n: int) -> tuple[EigenvectorMatch, ...]:
     cell-constant vector, verify it is an exact Gram eigenvector for the same
     eigenvalue, and attach the certified multiplicity."""
     pairs = divisor_spectrum(n)  # raises ValueError below n = 4
-    gram = build_gram(n)
+    lams = [lam for _, lam in pairs]
     multiplicity = {w.value: w.multiplicity for w in full_spectrum(n).eigenvalues}
-    cell_of = {}
-    for cell_idx, cell in enumerate(divisor_quotient(n).partition):
-        for v in cell:
-            cell_of[v] = cell_idx
-    matches = []
-    lifted_rows = []
-    for vec, lam in pairs:
-        lifted = tuple(vec[cell_of[v]] for v in range(gram.nrows))
-        if gram.mul_vector(lifted) != tuple(lam * x for x in lifted):
-            raise IntegrityError(f"lifted eigenvector failed for {lam} at n={n}")
-        lifted_rows.append(lifted)
-        matches.append(EigenvectorMatch(vec, lam, multiplicity[lam]))
-    if rank(RationalMatrix(lifted_rows)) != 3:
+    # Row k of X = V P is divisor eigenvector k, constant on each cell; G is
+    # symmetric, so X G = diag(lam) X says that every row is a Gram eigenvector.
+    lifted = RationalMatrix([vec for vec, _ in pairs]) @ divisor_quotient(n).indicator
+    diagonal = RationalMatrix([[lam * (j == k) for j in range(3)] for k, lam in enumerate(lams)])
+    image, expected = lifted @ build_gram(n), diagonal @ lifted
+    if image != expected:
+        k, _ = _first_entry(image, expected)
+        raise IntegrityError(f"lifted eigenvector failed for {lams[k]} at n={n}")
+    if rank(lifted) != 3:
         raise IntegrityError(f"lifted eigenvectors are dependent at n={n}")
-    return tuple(matches)
+    return tuple(EigenvectorMatch(vec, lam, multiplicity[lam]) for vec, lam in pairs)
 
 
 @dataclass(frozen=True)

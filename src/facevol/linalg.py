@@ -3,9 +3,8 @@
 Scalars are stdlib `fractions.Fraction`. A matrix is integer rows ``num`` over
 one positive denominator ``den``, in lowest terms, and every kernel computes on
 those integers directly. Fractions are made only where a value leaves a matrix:
-an entry, the ``rows`` view, a trace, a matrix-vector product or a kernel
-result. Everything here is exact; there is no floating-point code path in
-this module.
+an entry, the ``rows`` view, a trace or a kernel result. Everything here is
+exact; there is no floating-point code path in this module.
 
 - products multiply the integer rows and the denominators, in numpy int64
   when a bound on the entries proves that no sum can overflow, and in Python
@@ -145,14 +144,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return self._from_ints(zip(*self.num), self.den)
-
-    def mul_vector(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        dv = math.lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (dv // x.denominator) for x in v]
-        den = self.den * dv
-        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:

@@ -127,13 +127,20 @@ def _geometry_sanity(n: int) -> tuple[bool, str]:
 def _incidence_structure(n: int) -> tuple[bool, str]:
     m = build_incidence_matrix(n)
     deg = comb(n - 1, 2)
-    ok = (
-        m.den == 1
-        and all(x in (0, 1) for row in m.num for x in row)
-        and all(sum(row) == deg for row in m.num)
-        and all(sum(col) == deg for col in zip(*m.num))
+    # In lowest terms an entry is 0 or 1 exactly when its numerator is 0 or den,
+    # and then den is 1.
+    nonbinary = (
+        (i, j) for i, row in enumerate(m.num) for j, x in enumerate(row) if x not in (0, m.den)
     )
-    return ok, f"side {m.nrows}, row and column sums {deg}"
+    bad = next(nonbinary, None)
+    if bad is not None:
+        return False, f"incidence entry {bad} is {format_rational(m[bad])}, not 0 or 1, at n={n}"
+    for line, lines in (("row", m.num), ("column", zip(*m.num))):
+        sums = list(map(sum, lines))
+        k = next((k for k, total in enumerate(sums) if total != deg), None)
+        if k is not None:
+            return False, f"incidence {line} {k} sums to {sums[k]}, not {deg}, at n={n}"
+    return True, f"side {m.nrows}, row and column sums {deg}"
 
 
 @one_slot_memo
@@ -149,13 +156,18 @@ def _jacobian_identity(n: int) -> tuple[bool, str]:
 
 def _independence(r: dict) -> tuple[bool, str]:
     cert = r["independence"] = independence_certificate(r["n"], r["samples"], r["seed"])
-    ranks = ", ".join(str(k) for k in cert.ranks)
-    return cert.verdict, f"ranks [{ranks}] of {cert.full_rank}"
+    details = f"ranks [{', '.join(map(str, cert.ranks))}] of {cert.full_rank}"
+    if cert.verdict:
+        return True, details
+    return False, f"no Jacobian has full rank at n={r['n']}: {details}"
 
 
 def _gram_consistency(r: dict) -> tuple[bool, str]:
     gram = build_gram(r["n"])  # raises if the two constructions disagree
-    return gram.is_symmetric(), f"side {gram.nrows}, both constructions agree"
+    if gram.is_symmetric():
+        return True, f"side {gram.nrows}, both constructions agree"
+    where = _first_deviation(gram, gram.transpose())
+    return False, f"Gram matrix is not symmetric at n={r['n']}: {where}"
 
 
 def _equitable(r: dict) -> tuple[bool, str]:
@@ -163,10 +175,10 @@ def _equitable(r: dict) -> tuple[bool, str]:
     dq = divisor_quotient(n)
     if dq.equitable:
         return True, "stabilizer orbit partition is equitable"
-    # Name the first face whose weights into the cells differ from those of
-    # its cell's first face; the integer Gram matrix gives the weights.
-    num, cells = build_gram(n).num, dq.partition
-    weights = [", ".join(str(sum(num[v][w] for w in c)) for c in cells) for v in range(len(num))]
+    # Name the first face whose weights into the cells, its column of W,
+    # differ from those of its cell's first face.
+    w, cells = dq.weights, dq.partition
+    weights = [", ".join(format_rational(w[c, v]) for c in range(w.nrows)) for v in range(w.ncols)]
     v, u = next((v, c[0]) for c in cells for v in c if weights[v] != weights[c[0]])
     return False, (
         f"stabilizer orbit partition is not equitable at n={n}: face {v} has cell "
@@ -200,7 +212,9 @@ def _determinant(r: dict) -> tuple[bool, str]:
     # det G = (det M)^2 follows from G = M M^T, which build_gram proves; the
     # spectrum certificate compares it with the product of the eigenvalues.
     det_m = det_incidence(r["n"])
-    return det_m != 0, f"|det M| = {format_rational(abs(det_m))}"
+    if det_m == 0:
+        return False, f"incidence matrix is singular at n={r['n']}: |det M| = 0"
+    return True, f"|det M| = {format_rational(abs(det_m))}"
 
 
 def _commutativity(r: dict) -> tuple[bool, str]:
@@ -213,9 +227,15 @@ def _commutativity(r: dict) -> tuple[bool, str]:
 
 
 def _eigenspace_structure(r: dict) -> tuple[bool, str]:
-    g = gelfand_report(r["n"])
-    ok = g.distinct_eigenvalues == 3 and sum(g.eigenspace_dims) == comb(r["n"] + 1, 2)
-    return ok, f"3 eigenspaces of dimensions {list(g.eigenspace_dims)}"
+    n = r["n"]
+    g = gelfand_report(n)
+    dims, size = list(g.eigenspace_dims), comb(n + 1, 2)
+    if g.distinct_eigenvalues == 3 and sum(dims) == size:
+        return True, f"3 eigenspaces of dimensions {dims}"
+    return False, (
+        f"not 3 eigenspaces of total dimension {size} at n={n}: "
+        f"{g.distinct_eigenvalues} distinct eigenvalues, dimensions {dims} sum to {sum(dims)}"
+    )
 
 
 def _eigenvector_matching(r: dict) -> tuple[bool, str]:
@@ -227,7 +247,10 @@ def _eigenvector_matching(r: dict) -> tuple[bool, str]:
 def _fd(n: int) -> tuple[bool, str]:
     regular = EdgeLengthAssignment.regular(n)
     dev, largest = fd_crosscheck(regular, regular_jacobian(n), FD_STEP)
-    return dev <= FD_TOLERANCE * largest, f"max deviation {dev:.3e} at step {FD_STEP:g}"
+    details, bound = f"max deviation {dev:.3e} at step {FD_STEP:g}", FD_TOLERANCE * largest
+    if dev <= bound:
+        return True, details
+    return False, f"FD cross-check failed at n={n}: {details} exceeds the bound {bound:.3e}"
 
 
 # (name, min_n, check), in report order; every n reports every row.
@@ -547,6 +570,6 @@ def parse_report(text: str) -> VerificationReport:
         report = _reader(VerificationReport)(doc, rationals)
         if (overall_pass, discrepancies) != (report.overall_pass, report.discrepancies):
             raise ValueError("overall_pass or discrepancies differs from what the report derives")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     return report

@@ -47,9 +47,14 @@ from .linalg import (
 from .subsets import build_incidence_matrix, intersection_classes, subsets_colex
 
 
-def _first_deviation(a: RationalMatrix, b: RationalMatrix) -> str:
+def _first_entry(a: RationalMatrix, b: RationalMatrix) -> tuple[int, int]:
     """The first entry, in row-major order, where a differs from b."""
-    i, j = next((i, j) for i in range(a.nrows) for j in range(a.ncols) if a[i, j] != b[i, j])
+    return next((i, j) for i in range(a.nrows) for j in range(a.ncols) if a[i, j] != b[i, j])
+
+
+def _first_deviation(a: RationalMatrix, b: RationalMatrix) -> str:
+    """The first entry where a differs from b, with both values."""
+    i, j = _first_entry(a, b)
     return f"entry ({i}, {j}) is {format_rational(a[i, j])}, expected {format_rational(b[i, j])}"
 
 
@@ -73,7 +78,12 @@ def build_gram(n: int) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class DivisorQuotient:
+    """A partition, its 0/1 cell indicator rows P, the weights W = P G, and
+    the quotient and the equitability flag read off W."""
+
     partition: tuple[tuple[int, ...], ...]
+    indicator: RationalMatrix
+    weights: RationalMatrix
     quotient: RationalMatrix
     equitable: bool
 
@@ -81,27 +91,24 @@ class DivisorQuotient:
 def check_equitable(
     gram: RationalMatrix, partition: Sequence[Sequence[int]]
 ) -> DivisorQuotient:
-    """Quotient of a weighted adjacency matrix (loops included) by a vertex
-    partition, with the equitability flag: every vertex of a cell must carry
-    the same total weight into each cell."""
+    """Quotient of a symmetric weighted adjacency matrix (loops included) by
+    a vertex partition, with the equitability flag: every vertex of a cell
+    must carry the same total weight into each cell."""
     cells = tuple(tuple(c) for c in partition)
     seen = [v for c in cells for v in c]
     if any(not c for c in cells):
         raise ValueError("partition cells must be non-empty")
     if sorted(seen) != list(range(gram.nrows)):
         raise ValueError("partition must cover all vertex indices exactly once")
-    # Sum the integer rows; every sum shares the one denominator gram.den.
-    num = gram.num
-    equitable = True
-    q = []
-    for cell_a in cells:
-        row = []
-        for cell_b in cells:
-            sums = [sum(map(num[v].__getitem__, cell_b)) for v in cell_a]
-            equitable = equitable and len(set(sums)) == 1
-            row.append(sums[0])
-        q.append(row)
-    return DivisorQuotient(cells, RationalMatrix._from_ints(q, gram.den), equitable)
+    indicator = RationalMatrix._from_ints(
+        ([int(v in c) for v in range(gram.nrows)] for c in map(set, cells)), 1
+    )
+    # G is symmetric, so column v of W = P G lists v's weight into each cell.
+    weights = indicator @ gram
+    cols = list(zip(*weights.num))
+    equitable = all(cols[v] == cols[c[0]] for c in cells for v in c)
+    quotient = RationalMatrix._from_ints((cols[c[0]] for c in cells), weights.den)
+    return DivisorQuotient(cells, indicator, weights, quotient, equitable)
 
 
 def divisor_closed_form(n: int) -> RationalMatrix:
@@ -197,9 +204,10 @@ def divisor_spectrum(n: int) -> DivisorPairs:
     for vec, lam in pairs:
         if not any(vec):
             raise IntegrityError(f"divisor eigenvector for {lam} is zero at n={n}")
-        image, expected = divisor.mul_vector(vec), tuple(lam * x for x in vec)
+        row = RationalMatrix([vec])
+        image, expected = (divisor @ row.transpose()).transpose(), row.scaled(lam)
         if image != expected:
-            where = _first_deviation(RationalMatrix([image]), RationalMatrix([expected]))
+            where = _first_deviation(image, expected)
             message = f"divisor eigenvector check failed for {lam} at n={n}: D v {where}"
             raise IntegrityError(message)
     lams = [lam for _, lam in pairs]
@@ -299,22 +307,19 @@ def _certify_family(
     """A lower bound on the multiplicity of lam: the family's size, once every
     vector is an exact eigenvector and the family has full rank."""
     size = gram.nrows
-    # G x = lam x with lam = p/q and G = num/den reads q (num x) = p den x.
-    # G = M M^T is symmetric, so num x sums the rows of num in the support
-    # of x, times their coefficients.
-    q, target = lam.denominator, lam.numerator * gram.den
-    rows = []
-    for i, x in enumerate(vectors):
-        row, image = [0] * size, [0] * size
+    rows = [[0] * size for _ in vectors]
+    for row, x in zip(rows, vectors):
         for j, c in x:
             row[j] = c
-            image = [u + c * v for u, v in zip(image, gram.num[j])]
-        if any(q * u != target * v for u, v in zip(image, row)):
-            raise IntegrityError(
-                f"basis vector {i} is not an eigenvector for {format_rational(lam)} at n={n}"
-            )
-        rows.append(row)
-    rk = rank(RationalMatrix._from_ints(rows, 1))
+    family = RationalMatrix._from_ints(rows, 1)
+    # G is symmetric, so F G = lam F says that every row of F is an eigenvector.
+    image, expected = family @ gram, family.scaled(lam)
+    if image != expected:
+        i, _ = _first_entry(image, expected)
+        raise IntegrityError(
+            f"basis vector {i} is not an eigenvector for {format_rational(lam)} at n={n}"
+        )
+    rk = rank(family)
     if rk != len(vectors):
         raise IntegrityError(
             f"eigenvectors for {format_rational(lam)} are dependent at n={n}: "

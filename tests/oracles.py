@@ -19,6 +19,7 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Any, Sequence
 
 import numpy as np
@@ -225,6 +226,16 @@ def matmul_by_definition(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix
             for i in range(a.nrows)
         ]
     )
+
+
+def mul_vector(m: RationalMatrix, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """m v as Fractions: the integer rows of m times v over one denominator."""
+    if len(v) != m.ncols:
+        raise ValueError("vector length does not match column count")
+    dv = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (dv // x.denominator) for x in v]
+    den = m.den * dv
+    return tuple(Fraction(sum(map(mul, row, ints)), den) for row in m.num)
 
 
 X = sympy.Symbol("x")

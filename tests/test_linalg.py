@@ -29,6 +29,7 @@ from oracles import (
     evaluate_at_matrix,
     identity,
     matmul_by_definition,
+    mul_vector,
     poly_divides,
     poly_divmod,
     rationals,
@@ -374,7 +375,8 @@ class TestMatrixBasics:
 
     def test_mul_vector(self):
         m = RationalMatrix([[1, 2], [3, 4]])
-        assert m.mul_vector((1, 1)) == (3, 7)
+        assert m @ RationalMatrix([[1], [1]]) == RationalMatrix([[3], [7]])
+        assert mul_vector(m, (1, 1)) == (3, 7)
 
     def test_shifted(self):
         m = RationalMatrix([[2, 1], [1, 2]])
@@ -456,10 +458,13 @@ class TestRepresentation:
         assert t.rows == tuple(zip(*rows))
         assert (t.num, t.den) == (tuple(zip(*m.num)), m.den)
         v = rows[0]
-        assert m.mul_vector(v) == tuple(
-            sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in rows
+        product = m @ RationalMatrix([[x] for x in v])
+        assert product.rows == tuple(
+            (sum((x * y for x, y in zip(row, v)), Fraction(0)),) for row in rows
         )
-        assert m.mul_vector([1] * m.ncols) == tuple(sum(row, Fraction(0)) for row in rows)
+        assert mul_vector(m, v) == tuple(x for (x,) in product.rows)
+        ones = RationalMatrix([[1]] * m.ncols)
+        assert (m @ ones).rows == tuple((sum(row, Fraction(0)),) for row in rows)
         if m.nrows == m.ncols:
             assert m.trace() == sum((rows[i][i] for i in range(m.nrows)), Fraction(0))
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,16 @@ def noncommuting_a2(monkeypatch):
     return _flipped_a2(monkeypatch, [(0, 1), (1, 0)], defect)
 
 
+def wrong_lifted_eigenvector(monkeypatch):
+    # The lifts read the divisor's eigenpairs through their own binding, so
+    # the divisor's proof and the divisibility check still pass.
+    pairs = list(divisor_eigenpairs(5))
+    (x, y, z), lam = pairs[1]
+    pairs[1] = (x, -y, z), lam
+    monkeypatch.setattr(gelfand_mod, "divisor_spectrum", lambda n: tuple(pairs))
+    return GELFAND_CHECKS, "lifted eigenvector failed for 9 at n=5"
+
+
 def family_matrix(n, which):
     """The dense integer rows of one eigenvector family of the Gram matrix."""
     size = build_gram(n).nrows
@@ -228,6 +239,86 @@ def dependent_family(monkeypatch):
 def short_count(monkeypatch):
     _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1])
     return SPECTRUM_READERS, "multiplicities sum to 14, not 15, at n=5"
+
+
+def wrong_incidence_degree(monkeypatch):
+    # The closed-form degree C(n-1, 2) read one too high at n = 5: the matrix
+    # is right, and only the check that compares its sums with it fails.
+    monkeypatch.setattr(report_mod, "comb", lambda a, b: comb(a, b) + ((a, b) == (4, 2)))
+    return ("incidence_structure",), "incidence row 0 sums to 6, not 7, at n=5"
+
+
+def singular_incidence(monkeypatch):
+    # The determinant as the report reads it; the spectrum reads its own.
+    monkeypatch.setattr(report_mod, "det_incidence", lambda n: Fraction(0))
+    return ("incidence_determinant",), "incidence matrix is singular at n=5: |det M| = 0"
+
+
+def asymmetric_gram(monkeypatch):
+    num = [list(row) for row in build_gram(5).num]
+    num[0][1] += 1
+    asymmetric = RationalMatrix._from_ints(num, 1)
+    monkeypatch.setattr(report_mod, "build_gram", lambda n: asymmetric)
+    return (
+        ("gram_consistency",),
+        "Gram matrix is not symmetric at n=5: entry (0, 1) is 4, expected 3",
+    )
+
+
+def two_distinct_eigenvalues(monkeypatch):
+    counted = replace(gelfand_mod.gelfand_report(5), distinct_eigenvalues=2)
+    monkeypatch.setattr(report_mod, "gelfand_report", lambda n: counted)
+    return (
+        ("eigenspace_structure",),
+        "not 3 eigenspaces of total dimension 15 at n=5: "
+        "2 distinct eigenvalues, dimensions [1, 5, 9] sum to 15",
+    )
+
+
+def rank_one_short(monkeypatch):
+    # Forward and reversed ranks agree, so the re-verification passes and
+    # only the verdict is false.
+    monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) - 1)
+    return ("independence_certificate",), "no Jacobian has full rank at n=5: ranks [14] of 15"
+
+
+def perturbed_fd_jacobian(monkeypatch):
+    # One entry of the regular Jacobian that the FD check reads, 1% too large;
+    # the identity check reads the Jacobian through its own binding.
+    jac = report_mod.regular_jacobian(5)
+    num = [[100 * x for x in row] for row in jac.num]
+    num[0][0] += jac.num[0][0]
+    perturbed = RationalMatrix._from_ints(num, 100 * jac.den)
+    monkeypatch.setattr(report_mod, "regular_jacobian", lambda n: perturbed)
+    return (
+        ("fd_crosscheck",),
+        "FD cross-check failed at n=5: max deviation 5.893e-04 at step 0.0001 "
+        "exceeds the bound 5.951e-07",
+    )
+
+
+STAGE_FAULTS = [
+    flip_reversed_rank,
+    perturb_divisor_closed_form,
+    misclassify_one_pair,
+    asymmetric_a2,
+    noncommuting_a2,
+    wrong_basis_vector,
+    dependent_family,
+    short_count,
+    repeated_divisor_eigenvalue,
+    zero_divisor_eigenvector,
+    zero_unit_eigenvector,
+    reject_regular_adjugate,
+    wrong_face_volume,
+    wrong_lifted_eigenvector,
+    wrong_incidence_degree,
+    singular_incidence,
+    asymmetric_gram,
+    two_distinct_eigenvalues,
+    rank_one_short,
+    perturbed_fd_jacobian,
+]
 
 
 def break_fd_crosscheck(monkeypatch):
@@ -350,6 +441,41 @@ class TestPipeline:
             "face 6 has cell weights (3, 20, 13), face 2 of its cell has (3, 18, 15)",
         )
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 1): 2}, "incidence entry (0, 1) is 2, not 0 or 1, at n=5"),
+            # Move the first 1 of row 0 to its first 0: the row sum stays.
+            ({(0, 0): 0, (0, 6): 1}, "incidence column 0 sums to 5, not 6, at n=5"),
+        ],
+        ids=["entry", "column_sum"],
+    )
+    def test_incidence_structure_names_the_offending_value(self, monkeypatch, entries, message):
+        """A wrong incidence matrix fails the structure check with n and its
+        first offending entry or sum; the Jacobian identity, which reads the
+        same matrix, fails too, with its own message."""
+        num = [list(row) for row in build_incidence_matrix(5).num]
+        for (i, j), x in entries.items():
+            num[i][j] = x
+        tampered = RationalMatrix._from_ints(num, 1)
+        monkeypatch.setattr(report_mod, "build_incidence_matrix", lambda n: tampered)
+        failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
+        assert failed.keys() == {"incidence_structure", "jacobian_identity"}
+        assert failed["incidence_structure"] == message
+        assert failed["jacobian_identity"].startswith(
+            "scaled Jacobian at the regular point differs from the incidence matrix at n=5: "
+        )
+
+    def test_stage_faults_cover_every_check(self, monkeypatch, clear_memos):
+        """Each check of the registry fails under some fault of
+        test_stage_fault_fails_its_check."""
+        failed = set()
+        for fault in STAGE_FAULTS:
+            failed.update(fault(monkeypatch)[0])
+            monkeypatch.undo()
+            clear_memos()
+        assert failed == {name for name, _, _ in report_mod.CHECKS}
+
     def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
         """A rank that under-reports the eigenvector family of eigenvalue 1
         breaks the certificate, and every check that needs the spectrum fails
@@ -416,24 +542,7 @@ class TestPipeline:
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "fault",
-        [
-            flip_reversed_rank,
-            perturb_divisor_closed_form,
-            misclassify_one_pair,
-            asymmetric_a2,
-            noncommuting_a2,
-            wrong_basis_vector,
-            dependent_family,
-            short_count,
-            repeated_divisor_eigenvalue,
-            zero_divisor_eigenvector,
-            zero_unit_eigenvector,
-            reject_regular_adjugate,
-            wrong_face_volume,
-        ],
-    )
+    @pytest.mark.parametrize("fault", STAGE_FAULTS)
     def test_stage_fault_fails_its_check(self, monkeypatch, capsys, fault):
         """A fault fails exactly the checks that read the stage it breaks, all
         with that stage's message; every other check passes."""
@@ -615,6 +724,22 @@ class TestComputeOnce:
         a1, a2 = orbital_matrices(5)
         assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
 
+    def test_failed_commutativity_runs_once(self, monkeypatch):
+        """A failing commutativity check reads the one memoized defect that
+        the gelfand report found: the orbital matrices are built once, and
+        the side-15 products are M M^T and A1 A2, as in a passing report."""
+        failing, message = noncommuting_a2(monkeypatch)
+        served = gelfand_mod.orbital_matrices
+        calls = record_calls(monkeypatch, (served,))
+        products = record_products(monkeypatch)
+        rep = verify_single(5, 0, 0)
+        failed = {c.name: c.details for c in rep.checks if c.status == "fail"}
+        assert failed == dict.fromkeys(failing, message)
+        assert calls[served] == [(5,)]
+        m = build_incidence_matrix(5)
+        a1, a2 = served(5)
+        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
+
     def test_broken_gram_rule_is_built_once(self, monkeypatch):
         """A Gram matrix whose two constructions disagree fails its eight
         readers with one error, and M M^T is formed once."""
@@ -660,6 +785,10 @@ class TestComputeOnce:
         assert len(drawn) == 3
         assert [E for (E,) in calls[simplex_det_adjugate]] == [regular, *drawn]
         assert len(calls[det_adjugate]) == 4
+
+
+class Text(str):
+    """A tamper's result that replaces the whole report text."""
 
 
 def first_edge(doc):
@@ -734,6 +863,7 @@ class TestSerialization:
             (lambda d: d["checks"][0].update(bogus=1), ValueError),
             (lambda d: d["spectrum"]["eigenvalues"][0].update(bogus=1), ValueError),
             (lambda d: d["independence"]["points"][0].update(n=800), ValueError),
+            (lambda d: Text("[" * 100000 + "]" * 100000), RecursionError),
         ],
         ids=[
             "missing_key",
@@ -757,13 +887,16 @@ class TestSerialization:
             "unknown_check_key",
             "unknown_witness_key",
             "edge_count_of_another_n",
+            "nested_too_deep",
         ],
     )
     def test_malformed_report_raises_value_error(self, report_n4, tamper, cause):
         doc = json.loads(serialize_report(report_n4, "json"))
-        tamper(doc)
+        text = tamper(doc)
+        if not isinstance(text, Text):
+            text = json.dumps(doc)
         with pytest.raises(ValueError, match="^malformed report: ") as info:
-            parse_report(json.dumps(doc))
+            parse_report(text)
         assert type(info.value.__cause__) is cause
 
     def test_unknown_key_is_named(self, report_n4):
