@@ -14,6 +14,8 @@ def main() -> None:
     parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=10)
     args = parser.parse_args()
+    if args.n_min < 3:
+        parser.error("--n-min must be >= 3: the face-edge Gram matrix is defined for n >= 3")
 
     print(f"{'n':>3}  {'side':>5}  {'eigenvalues':<28}  {'singular values':<24}  |det M|")
     print("-" * 90)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .linalg import format_rational
+
+Value = Fraction | int | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -24,44 +25,34 @@ class ClaimRecord:
     computed: str
     matches: bool
 
-    @classmethod
-    def compare(cls, claim: str, claimed: Fraction, computed: Fraction) -> "ClaimRecord":
-        return cls(claim, format_rational(claimed), format_rational(computed), claimed == computed)
 
-
-def claimed_largest_singular_value(n: int) -> Fraction:
-    return Fraction((n - 2) * (n - 1))
-
-
-def claimed_middle_singular_multiplicity(n: int) -> Fraction:
-    return Fraction(n)
-
-
-def claimed_unit_singular_multiplicity(n: int) -> Fraction:
-    return Fraction((n + 1) * (n - 1), 2)
-
-
-def claimed_incidence_det_abs(n: int) -> Fraction:
-    return Fraction((n - 2) ** (n + 1) * (n - 1))
-
-
-def claimed_largest_divisor_eigenvalue(n: int) -> Fraction:
-    return Fraction((n - 1) ** 2 * (n - 2) ** 2)
-
-
-def claimed_gram_entries(n: int) -> dict[int, Fraction]:
-    """Claimed Gram entries keyed by intersection size of the two faces."""
+def stated(n: int) -> dict[str, Value]:
+    """Every audited quantity by name, with its value as stated, in record
+    order. The Gram entries are those of two faces meeting in n-1 (equal),
+    n-2 and n-3 vertices; the last is the dimension triple of the three
+    invariant eigenspaces."""
     return {
-        n - 1: Fraction(n * (n - 1), 2),
-        n - 2: Fraction((n - 1) * (n - 2), 2),
-        n - 3: Fraction((n - 2) * (n - 3), 2),
+        "largest singular value": Fraction((n - 2) * (n - 1)),
+        "multiplicity of singular value n-2": Fraction(n),
+        "multiplicity of singular value 1": Fraction((n + 1) * (n - 1), 2),
+        "absolute determinant of the incidence matrix": Fraction((n - 2) ** (n + 1) * (n - 1)),
+        "largest divisor eigenvalue": Fraction((n - 1) ** 2 * (n - 2) ** 2),
+        "Gram entry, equal faces": Fraction(n * (n - 1), 2),
+        "Gram entry, intersection n-2": Fraction((n - 1) * (n - 2), 2),
+        "Gram entry, intersection n-3": Fraction((n - 2) * (n - 3), 2),
+        "invariant eigenspace dimensions": ((n + 1) * n // 2, n, 1),
     }
 
 
-def claimed_irreducible_dimensions(n: int) -> tuple[int, int, int]:
-    """Claimed dimension triple of the three invariant eigenspaces."""
-    return ((n + 1) * n // 2, n, 1)
+def _text(value: Value) -> str:
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else format_rational(value)
 
 
-def claimed_dimension_sum_matches(n: int) -> bool:
-    return sum(claimed_irreducible_dimensions(n)) == comb(n + 1, 2)
+def audit(n: int, computed: dict[str, Value]) -> tuple[ClaimRecord, ...]:
+    """One record per computed quantity, in the order given, each set against
+    its stated value."""
+    claims = stated(n)
+    return tuple(
+        ClaimRecord(name, _text(claims[name]), _text(value), claims[name] == value)
+        for name, value in computed.items()
+    )

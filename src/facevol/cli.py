@@ -26,6 +26,10 @@ log = logging.getLogger("facevol")
 
 USAGE_EXIT = 2
 
+# The names FACEVOL_LOG takes, in any case; logging's aliases (NOTSET, WARN,
+# FATAL) are refused.
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Jacobian independence certificate, incidence spectrum, divisor "
             "quotients, and the claim audit."
         ),
-        epilog="Environment: FACEVOL_LOG is the log level: DEBUG, INFO, WARNING, ERROR, CRITICAL.",
+        epilog=f"Environment: FACEVOL_LOG is the log level: {', '.join(LOG_LEVELS)}.",
     )
     target = parser.add_mutually_exclusive_group()
     target.add_argument("--n", type=int, help="single dimension to verify (>= 3)")
@@ -94,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     single_mode = args.n is not None
     try:
         log_name = os.environ.get("FACEVOL_LOG") or "WARNING"
-        level = logging.getLevelName(log_name.upper())  # a level name's number, else a str
-        if not isinstance(level, int):
+        level = log_name.upper()
+        if level not in LOG_LEVELS:
             raise ValueError(f"FACEVOL_LOG={log_name!r} is not a log level name (see --help)")
         if single_mode:
             n_values: tuple[int, ...] = (args.n,)
@@ -118,7 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     reports = run_verification(config)
 
     if args.output is None:
-        sys.stdout.write(serialize_reports(reports, args.fmt))
+        if single_mode:
+            sys.stdout.write(serialize_report(reports[0], args.fmt))
+        else:
+            sys.stdout.write(serialize_reports(reports, args.fmt))
     else:
         if single_mode:
             files = {Path(args.output): reports[0]}

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
-from .claims import (
-    ClaimRecord,
-    claimed_dimension_sum_matches,
-    claimed_irreducible_dimensions,
-)
+from .claims import ClaimRecord, audit, stated
 from .exceptions import IntegrityError, one_slot_memo
 from .linalg import RationalMatrix, rank
 from .spectral import (
@@ -129,21 +126,16 @@ def gelfand_report(n: int) -> GelfandReport:
     """Assemble the commutativity, dimension, and eigenvector-matching checks
     into one report, flagging the claimed dimension triple if it fails."""
     dims = eigenspace_dimensions(n)
-    claimed = claimed_irreducible_dimensions(n)
     dims_desc = tuple(sorted(dims, reverse=True))
-    record = ClaimRecord(
-        claim="invariant eigenspace dimensions",
-        claimed=", ".join(str(d) for d in claimed),
-        computed=", ".join(str(d) for d in dims_desc),
-        matches=tuple(claimed) == dims_desc,
-    )
+    (record,) = audit(n, {"invariant eigenspace dimensions": dims_desc})
+    claimed = stated(n)[record.claim]
     return GelfandReport(
         n=n,
         commutative=check_commutative(n),
         eigenspace_dims=dims,
         claimed_dims=claimed,
         dims_match_claimed=record.matches,
-        claimed_dims_sum_matches=claimed_dimension_sum_matches(n),
+        claimed_dims_sum_matches=sum(claimed) == comb(n + 1, 2),
         distinct_eigenvalues=len(full_spectrum(n).eigenvalues),
         matches=match_eigenvectors(n),
         discrepancies=(record,),

@@ -551,8 +551,6 @@ def serialize_report(r: VerificationReport, fmt: str = "json") -> str:
 
 def serialize_reports(reports: list[VerificationReport], fmt: str = "json") -> str:
     """One document for several reports (JSON array / concatenated markdown)."""
-    if len(reports) == 1:
-        return serialize_report(reports[0], fmt)
     if fmt == "json":
         return _writer(tuple[VerificationReport, ...])(reports, "") + "\n"
     if fmt == "markdown":

@@ -26,15 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .claims import (
-    ClaimRecord,
-    claimed_gram_entries,
-    claimed_incidence_det_abs,
-    claimed_largest_divisor_eigenvalue,
-    claimed_largest_singular_value,
-    claimed_middle_singular_multiplicity,
-    claimed_unit_singular_multiplicity,
-)
+from .claims import ClaimRecord, audit
 from .exceptions import IntegrityError, one_slot_memo
 from .linalg import (
     RationalMatrix,
@@ -334,46 +326,27 @@ def _audit_claims(
     witnesses: Sequence[EigenvalueWitness],
     det_abs: Fraction,
 ) -> tuple[ClaimRecord, ...]:
-    det_claim = ClaimRecord.compare(
-        "absolute determinant of the incidence matrix", claimed_incidence_det_abs(n), det_abs
-    )
+    det = {"absolute determinant of the incidence matrix": det_abs}
     if n == 3:  # one eigenvalue and no divisor: only the determinant claim applies
-        return (det_claim,)
+        return audit(n, det)
     largest, middle, unit = witnesses
     largest_sv = exact_sqrt(largest.value)
     if largest_sv is None:
         raise IntegrityError("largest Gram eigenvalue is not a perfect square")
-    part = divisor_quotient(n).partition
-    entries = claimed_gram_entries(n)
-    return (
-        ClaimRecord.compare(
-            "largest singular value", claimed_largest_singular_value(n), largest_sv
-        ),
-        ClaimRecord.compare(
-            "multiplicity of singular value n-2",
-            claimed_middle_singular_multiplicity(n),
-            Fraction(middle.multiplicity),
-        ),
-        ClaimRecord.compare(
-            "multiplicity of singular value 1",
-            claimed_unit_singular_multiplicity(n),
-            Fraction(unit.multiplicity),
-        ),
-        det_claim,
-        ClaimRecord.compare(
-            "largest divisor eigenvalue",
-            claimed_largest_divisor_eigenvalue(n),
-            largest.value,
-        ),
-        ClaimRecord.compare(
-            "Gram entry, equal faces", entries[n - 1], gram[0, 0]
-        ),
-        ClaimRecord.compare(
-            "Gram entry, intersection n-2", entries[n - 2], gram[0, part[1][0]]
-        ),
-        ClaimRecord.compare(
-            "Gram entry, intersection n-3", entries[n - 3], gram[0, part[2][0]]
-        ),
+    # The first faces meeting face 0 in n-2 and in n-3 vertices.
+    near, far = map(intersection_classes(n)[0].index, (n - 2, n - 3))
+    return audit(
+        n,
+        {
+            "largest singular value": largest_sv,
+            "multiplicity of singular value n-2": middle.multiplicity,
+            "multiplicity of singular value 1": unit.multiplicity,
+            **det,
+            "largest divisor eigenvalue": largest.value,
+            "Gram entry, equal faces": gram[0, 0],
+            "Gram entry, intersection n-2": gram[0, near],
+            "Gram entry, intersection n-3": gram[0, far],
+        },
     )
 
 

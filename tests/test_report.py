@@ -659,8 +659,11 @@ class TestComputeOnce:
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
         """A cold full_spectrum takes one fraction-free elimination, det M:
         the eigenvector groups are proved independent mod p, and det G is
-        never computed. It reads nothing of the divisor, at n = 3 too."""
-        divisor = (divisor_matrix, divisor_eigenpairs, char_poly)
+        never computed. It reads nothing of the divisor, at n = 3 too: not
+        even the orbit partition behind the Gram entries it audits."""
+        divisor = (
+            divisor_quotient, check_equitable, divisor_matrix, divisor_eigenpairs, char_poly
+        )
         calls = record_calls(monkeypatch, (det_fraction_free, *divisor))
         eliminated = []
         bareiss = linalg_mod._bareiss
@@ -1066,10 +1069,21 @@ class TestCli:
     def test_unknown_format_maps_to_two(self, capsys):
         assert main(["--n", "4", "--format", "xml"]) == 2
 
-    @pytest.mark.parametrize("value, code", [("basic_format", 2), ("verbose", 2), ("info", 0)])
+    @pytest.mark.parametrize(
+        "value, code",
+        [
+            ("basic_format", 2),
+            ("verbose", 2),
+            ("NOTSET", 2),
+            ("WARN", 2),
+            ("FATAL", 2),
+            ("info", 0),
+        ],
+    )
     def test_log_level_must_be_a_level_name(self, capsys, monkeypatch, value, code):
-        """FACEVOL_LOG takes a level name in any case; anything else, even a
-        logging attribute that is no level, is a usage error."""
+        """FACEVOL_LOG takes one of the five listed level names in any case;
+        anything else, even a logging attribute that is no level or one of
+        logging's aliases, is a usage error."""
         monkeypatch.setenv("FACEVOL_LOG", value)
         assert main(["--n", "3", "--samples", "0"]) == code
         err = capsys.readouterr().err
@@ -1079,6 +1093,10 @@ class TestCli:
     def test_check_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(report_mod, "divisor_divides", lambda n: False)
         assert main(["--n", "4", "--samples", "0"]) == 1
+
+    def test_one_element_range_prints_an_array(self, capsys):
+        assert main(["--n-range", "4:4", "--samples", "0"]) == 0
+        assert [r["n"] for r in json.loads(capsys.readouterr().out)] == [4]
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

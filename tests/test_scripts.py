@@ -26,3 +26,29 @@ def test_claim_audit_below_n4_is_a_usage_error():
     assert proc.returncode == 2
     assert "--n-min must be >= 4" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_spectrum_table_below_n3_is_a_usage_error():
+    proc = run_script("spectrum_table.py", "--n-min", "2", "--n-max", "3")
+    assert proc.returncode == 2
+    assert "--n-min must be >= 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_claim_audit_prints_every_record():
+    proc = run_script("claim_audit.py", "--n-min", "4", "--n-max", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "\n"
+        "n = 4\n"
+        "  largest singular value                        claimed        6  !=  computed 3\n"
+        "  multiplicity of singular value n-2            claimed        4  ==  computed 4\n"
+        "  multiplicity of singular value 1              claimed     15/2  !=  computed 5\n"
+        "  absolute determinant of the incidence matrix  claimed       96  !=  computed 48\n"
+        "  largest divisor eigenvalue                    claimed       36  !=  computed 9\n"
+        "  Gram entry, equal faces                       claimed        6  !=  computed 3\n"
+        "  Gram entry, intersection n-2                  claimed        3  !=  computed 1\n"
+        "  Gram entry, intersection n-3                  claimed        1  !=  computed 0\n"
+        "  invariant eigenspace dimensions               claimed 10, 4, 1  !=  computed 5, 4, 1\n"
+        "  -> 8 of 9 stated values disagree with the exact computation\n"
+    )
