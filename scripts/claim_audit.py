@@ -15,6 +15,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.n_min < 4:
         parser.error("--n-min must be >= 4: the orbit-algebra audit is defined for n >= 4")
+    if args.n_max < args.n_min:
+        parser.error(f"empty range: --n-max {args.n_max} is below --n-min {args.n_min}")
 
     for n in range(args.n_min, args.n_max + 1):
         records = full_spectrum(n).discrepancies + gelfand_report(n).discrepancies

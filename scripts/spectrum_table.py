@@ -16,6 +16,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.n_min < 3:
         parser.error("--n-min must be >= 3: the face-edge Gram matrix is defined for n >= 3")
+    if args.n_max < args.n_min:
+        parser.error(f"empty range: --n-max {args.n_max} is below --n-min {args.n_min}")
 
     print(f"{'n':>3}  {'side':>5}  {'eigenvalues':<28}  {'singular values':<24}  |det M|")
     print("-" * 90)

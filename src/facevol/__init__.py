@@ -49,7 +49,6 @@ from .linalg import (
 )
 from .report import (
     CheckResult,
-    RunConfig,
     VerificationReport,
     parse_report,
     run_verification,
@@ -108,7 +107,6 @@ __all__ = [
     "parse_rational",
     "rank",
     "CheckResult",
-    "RunConfig",
     "VerificationReport",
     "parse_report",
     "run_verification",

@@ -13,18 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-from .report import (
-    DEFAULT_N_RANGE,
-    MAX_N_GUARD,
-    RunConfig,
-    run_verification,
-    serialize_report,
-    serialize_reports,
-)
+from .report import run_verification, serialize_report, serialize_reports
 
 log = logging.getLogger("facevol")
 
 USAGE_EXIT = 2
+DEFAULT_N_RANGE = "4:8"
+MAX_N_GUARD = 16
 
 # The names FACEVOL_LOG takes, in any case; logging's aliases (NOTSET, WARN,
 # FATAL) are refused.
@@ -46,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--n-range",
         metavar="A:B",
-        help=f"inclusive dimension range (default {DEFAULT_N_RANGE[0]}:{DEFAULT_N_RANGE[1]})",
+        help=f"inclusive dimension range (default {DEFAULT_N_RANGE})",
     )
     parser.add_argument(
         "--samples",
@@ -101,25 +96,23 @@ def main(argv: list[str] | None = None) -> int:
         level = log_name.upper()
         if level not in LOG_LEVELS:
             raise ValueError(f"FACEVOL_LOG={log_name!r} is not a log level name (see --help)")
-        if single_mode:
-            n_values: tuple[int, ...] = (args.n,)
-        elif args.n_range is not None:
-            n_values = _parse_range(args.n_range)
-        else:
-            n_values = tuple(range(DEFAULT_N_RANGE[0], DEFAULT_N_RANGE[1] + 1))
-        config = RunConfig(
-            n_values=n_values,
-            samples=args.samples,
-            seed=args.seed,
-            jobs=args.jobs,
-            max_n=args.max_n,
-        )
+        n_values = (args.n,) if single_mode else _parse_range(args.n_range or DEFAULT_N_RANGE)
+        if min(n_values) < 3:
+            raise ValueError("all dimensions must be >= 3")
+        if max(n_values) > args.max_n:
+            raise ValueError(
+                f"dimension exceeds the guard ({args.max_n}); raise --max-n to override"
+            )
+        if args.samples < 0:
+            raise ValueError("samples must be >= 0")
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
     logging.basicConfig(level=level, stream=sys.stderr)
-    reports = run_verification(config)
+    reports = run_verification(n_values, args.samples, args.seed, args.jobs)
 
     if args.output is None:
         if single_mode:

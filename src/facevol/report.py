@@ -22,6 +22,7 @@ from functools import cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import comb
+from time import perf_counter
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
@@ -60,8 +61,6 @@ log = logging.getLogger("facevol")
 FD_STEP = 1e-4
 # Bound on the FD deviation relative to the largest exact derivative.
 FD_TOLERANCE = 1e-5
-DEFAULT_N_RANGE = (4, 8)
-MAX_N_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -293,6 +292,7 @@ def verify_single(n: int, samples: int = 3, seed: int = 42) -> VerificationRepor
         if n < min_n:
             checks.append(CheckResult(name, "skip", f"defined for n >= {min_n}"))
             continue
+        start = perf_counter()
         try:
             ok, details = check(r)
         except IntegrityError as exc:
@@ -302,43 +302,21 @@ def verify_single(n: int, samples: int = 3, seed: int = 42) -> VerificationRepor
             checks.append(CheckResult(name, "fail", f"{type(exc).__name__}: {exc}"))
         else:
             checks.append(CheckResult(name, "pass" if ok else "fail", details))
-        log.info("n=%d %s: %s", n, name, checks[-1].status)
+        log.info("n=%d %s: %s in %.3f s", n, name, checks[-1].status, perf_counter() - start)
     return VerificationReport(checks=tuple(checks), **r)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n_values: tuple[int, ...]
-    samples: int = 3
-    seed: int = 42
-    jobs: int = 1
-    max_n: int = MAX_N_GUARD
-
-    def __post_init__(self) -> None:
-        if not self.n_values:
-            raise ValueError("no dimensions requested")
-        if any(n < 3 for n in self.n_values):
-            raise ValueError("all dimensions must be >= 3")
-        if any(n > self.max_n for n in self.n_values):
-            raise ValueError(
-                f"dimension exceeds the guard ({self.max_n}); raise --max-n to override"
-            )
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-
-def run_verification(config: RunConfig) -> list[VerificationReport]:
+def run_verification(
+    n_values: tuple[int, ...], samples: int = 3, seed: int = 42, jobs: int = 1
+) -> list[VerificationReport]:
     """One report per requested n; parallel over n when jobs > 1. Output is
     independent of the parallelism degree."""
-    n_values = config.n_values
-    args = (n_values, repeat(config.samples), repeat(config.seed))
-    if config.jobs > 1 and len(n_values) > 1:
+    args = (n_values, repeat(samples), repeat(seed))
+    if jobs > 1 and len(n_values) > 1:
         # imported only here: loading it costs every run some 15 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(n_values))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(n_values))) as pool:
             return list(pool.map(verify_single, *args))
     return list(map(verify_single, *args))
 

@@ -376,8 +376,12 @@ def report_json(r) -> dict:
     return dict(items + [("discrepancies", to_json(r.discrepancies))])
 
 
+def serialize_report_by_json_dumps(r) -> str:
+    """The canonical JSON of one report, written by ``json.dumps(indent=2)``."""
+    return json.dumps(report_json(r), indent=2) + "\n"
+
+
 def serialize_reports_by_json_dumps(reports) -> str:
-    """The canonical JSON of one report, or of a list of several, written by
-    ``json.dumps(indent=2)``."""
-    doc = report_json(reports[0]) if len(reports) == 1 else [report_json(r) for r in reports]
-    return json.dumps(doc, indent=2) + "\n"
+    """The canonical JSON array of a list of reports, even of one or none,
+    written by ``json.dumps(indent=2)``."""
+    return json.dumps([report_json(r) for r in reports], indent=2) + "\n"

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,7 +39,6 @@ from facevol.jacobian import (
 from facevol.linalg import RationalMatrix, char_poly, det_adjugate, det_fraction_free, rank
 from facevol.report import (
     CheckResult,
-    RunConfig,
     parse_report,
     run_verification,
     serialize_report,
@@ -55,7 +56,12 @@ from facevol.spectral import (
 )
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
-from oracles import dense, serialize_reports_by_json_dumps, with_squared
+from oracles import (
+    dense,
+    serialize_report_by_json_dumps,
+    serialize_reports_by_json_dumps,
+    with_squared,
+)
 
 
 @pytest.fixture(scope="module")
@@ -938,10 +944,8 @@ class TestDeterminism:
         assert a == b
 
     def test_jobs_do_not_change_output(self):
-        base = RunConfig(n_values=(4, 5), samples=1, seed=3, jobs=1)
-        parallel = RunConfig(n_values=(4, 5), samples=1, seed=3, jobs=2)
-        text1 = serialize_reports(run_verification(base), "json")
-        text2 = serialize_reports(run_verification(parallel), "json")
+        text1 = serialize_reports(run_verification((4, 5), 1, 3, jobs=1), "json")
+        text2 = serialize_reports(run_verification((4, 5), 1, 3, jobs=2), "json")
         assert text1 == text2
 
     def test_import_leaves_the_process_pool_unloaded(self):
@@ -963,12 +967,14 @@ class TestCodecOracle:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_report_matches_json_dumps(self, n):
         report = verify_single(n, samples=2, seed=7)
-        assert serialize_report(report, "json") == serialize_reports_by_json_dumps([report])
+        assert serialize_report(report, "json") == serialize_report_by_json_dumps(report)
 
     def test_report_array_matches_json_dumps(self):
         reports = [verify_single(n, samples=1, seed=7) for n in (3, 4, 5)]
         assert serialize_reports(reports, "json") == serialize_reports_by_json_dumps(reports)
         assert serialize_reports([], "json") == serialize_reports_by_json_dumps([]) == "[]\n"
+        one = reports[:1]
+        assert serialize_reports(one, "json") == serialize_reports_by_json_dumps(one)
 
     def test_escaped_details_match_json_dumps(self, monkeypatch):
         message = 'λ ≠ "9" at n=4,\na \\ b'
@@ -981,7 +987,7 @@ class TestCodecOracle:
         assert not report.overall_pass
         assert CheckResult("divisor_char_poly_divides", "fail", message) in report.checks
         text = serialize_report(report, "json")
-        assert text == serialize_reports_by_json_dumps([report])
+        assert text == serialize_report_by_json_dumps(report)
         assert parse_report(text) == report
 
 
@@ -1010,6 +1016,17 @@ class TestGolden:
         assert main(["--n-range", "3:5", "--seed", "42", "--samples", "3"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "verify_n3-5.json").read_text()
 
+    def test_info_log_times_every_check(self, caplog):
+        """At INFO each check logs its status and wall time on the side; the
+        report stays byte-identical."""
+        with caplog.at_level(logging.INFO, logger="facevol"):
+            report = verify_single(5, samples=3, seed=42)
+        lines = [r.getMessage() for r in caplog.records if r.name == "facevol"]
+        timed = [re.fullmatch(r"n=5 (\w+): pass in \d+\.\d{3} s", line) for line in lines]
+        assert all(timed), lines
+        assert [m[1] for m in timed] == [name for name, _, _ in report_mod.CHECKS]
+        assert serialize_report(report, "json") == (GOLDEN / "verify_n5.json").read_text()
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_decode_reencode_is_byte_identical(self, n):
         golden = (GOLDEN / f"verify_n{n}.json").read_text()
@@ -1024,24 +1041,6 @@ class TestGolden:
         assert serialize_report(parse_report(text), "json") == text
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(n_values=())
-        with pytest.raises(ValueError):
-            RunConfig(n_values=(2,))
-        with pytest.raises(ValueError):
-            RunConfig(n_values=(4,), samples=-1)
-        with pytest.raises(ValueError):
-            RunConfig(n_values=(4,), jobs=0)
-        with pytest.raises(ValueError):
-            RunConfig(n_values=(17,))
-
-    def test_guard_override(self):
-        cfg = RunConfig(n_values=(17,), max_n=20)
-        assert cfg.n_values == (17,)
-
-
 class TestCli:
     def test_single_n_exit_zero(self, capsys):
         assert main(["--n", "4", "--seed", "42"]) == 0
@@ -1050,17 +1049,30 @@ class TestCli:
         assert doc["overall_pass"] is True
         assert doc["spectrum"]["det_m_abs"] == "48"
 
-    def test_usage_error_small_n(self, capsys):
-        assert main(["--n", "2"]) == 2
-        assert "error" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param("--n 2", "all dimensions must be >= 3", id="small_n"),
+            pytest.param("--n-range 2:4", "all dimensions must be >= 3", id="small_range"),
+            pytest.param("--n-range 6:4", "empty range '6:4'", id="empty_range"),
+            pytest.param("--n 17", "dimension exceeds the guard (16)", id="guard"),
+            pytest.param("--n 6 --max-n 5", "dimension exceeds the guard (5)", id="max_n"),
+            pytest.param("--samples -1", "samples must be >= 0", id="samples"),
+            pytest.param("--jobs 0", "jobs must be >= 1", id="jobs"),
+        ],
+    )
+    def test_usage_error(self, capsys, args, message):
+        """Every run argument is checked once, before any n is verified."""
+        assert main(args.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_usage_error_bad_range(self, capsys):
         assert main(["--n-range", "6-4"]) == 2
-        assert main(["--n-range", "6:4"]) == 2
+        assert capsys.readouterr().err.startswith("error: range must look like A:B")
 
     def test_usage_error_guard(self, capsys):
-        assert main(["--n", "17"]) == 2
-        assert main(["--n", "6", "--max-n", "5"]) == 2
         assert main(["--n", "6", "--max-n", "6", "--samples", "0"]) == 0
 
     def test_argparse_failure_maps_to_two(self, capsys):

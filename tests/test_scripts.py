@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,6 +35,15 @@ def test_spectrum_table_below_n3_is_a_usage_error():
     assert proc.returncode == 2
     assert "--n-min must be >= 3" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["claim_audit.py", "spectrum_table.py"])
+def test_empty_range_is_a_usage_error(name):
+    proc = run_script(name, "--n-min", "6", "--n-max", "4")
+    assert proc.returncode == 2
+    assert "empty range: --n-max 4 is below --n-min 6" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_claim_audit_prints_every_record():
