@@ -25,7 +25,6 @@ from .gelfand import (
 )
 from .geometry import (
     EdgeLengthAssignment,
-    all_codim2_squared_volumes,
     cayley_menger_matrix,
     squared_volume,
     unit_regular_squared_volume,
@@ -89,7 +88,6 @@ __all__ = [
     "match_eigenvectors",
     "orbital_matrices",
     "EdgeLengthAssignment",
-    "all_codim2_squared_volumes",
     "cayley_menger_matrix",
     "squared_volume",
     "unit_regular_squared_volume",

@@ -86,11 +86,6 @@ def unit_regular_squared_volume(k: int) -> Fraction:
     return Fraction(k + 1, 2**k * math.factorial(k) ** 2)
 
 
-def all_codim2_squared_volumes(E: EdgeLengthAssignment) -> tuple[Fraction, ...]:
-    """Squared (n-2)-volumes of all codim-2 faces, in colex face-rank order."""
-    return tuple(squared_volume(E, f) for f in subsets_colex(E.n + 1, E.n - 1))
-
-
 def simplex_det_adjugate(E: EdgeLengthAssignment) -> tuple[Fraction, RationalMatrix]:
     """det D and adj D of the whole simplex's Cayley-Menger matrix D. Raises
     ValueError unless E is nondegenerate: every face has positive squared volume.

@@ -26,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -85,10 +85,16 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
         row = [0] * len(column)
         for u, w in combinations(face, 2):
             pw = p[w]
-            minor = pw[u] * det_tt - pw[s] * co_s[u] + pw[t] * co_t[u]
-            row[column[(u, w)]] = scale * minor
+            row[column[(u, w)]] = pw[u] * det_tt - pw[s] * co_s[u] + pw[t] * co_t[u]
         rows.append(row)
-    return RationalMatrix._from_ints(rows, den)
+    # Divide the minors' gcd g, and what scale * g shares with den, out once:
+    # the entries then reach _from_ints in lowest terms, and its own gcd pass
+    # drops to 1 within the first few of them.
+    g = math.gcd(*chain.from_iterable(rows))
+    common = math.gcd(den, scale * g)
+    factor = scale * g // common
+    entries = ([x // g * factor for x in row] for row in rows)
+    return RationalMatrix._from_ints(entries, den // common)
 
 
 @one_slot_memo

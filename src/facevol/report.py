@@ -29,11 +29,7 @@ from . import __version__
 from .claims import ClaimRecord
 from .exceptions import IntegrityError, one_slot_memo
 from .gelfand import GelfandReport, commutativity_defect, gelfand_report
-from .geometry import (
-    EdgeLengthAssignment,
-    all_codim2_squared_volumes,
-    unit_regular_squared_volume,
-)
+from .geometry import EdgeLengthAssignment, squared_volume, unit_regular_squared_volume
 from .jacobian import (
     IndependenceCertificate,
     fd_crosscheck,
@@ -111,15 +107,20 @@ class VerificationReport:
 @one_slot_memo
 def _geometry_sanity(n: int) -> tuple[bool, str]:
     regular = EdgeLengthAssignment.regular(n)
-    f2 = unit_regular_squared_volume(n - 2)
-    vols = all_codim2_squared_volumes(regular)
-    for face, v in zip(subsets_colex(n + 1, n - 1), vols):
-        if v != f2:
-            return False, (
-                f"codim-2 face {face} has squared volume {format_rational(v)}, "
-                f"not {format_rational(f2)}, at n={n}"
-            )
-    return True, f"all {len(vols)} codim-2 squared volumes equal {format_rational(f2)}"
+    edge = next((e for e, v in regular.squared_lengths.items() if v != 1), None)
+    if edge is not None:
+        v = format_rational(regular.squared_lengths[edge])
+        return False, f"edge {edge} has squared length {v}, not 1, at n={n}"
+    # With every squared length 1, all codim-2 faces share one Cayley-Menger
+    # matrix, so the first face's determinant gives every face's volume.
+    faces = subsets_colex(n + 1, n - 1)
+    f2, v = unit_regular_squared_volume(n - 2), squared_volume(regular, faces[0])
+    if v != f2:
+        return False, (
+            f"codim-2 face {faces[0]} has squared volume {format_rational(v)}, "
+            f"not {format_rational(f2)}, at n={n}"
+        )
+    return True, f"all {len(faces)} codim-2 squared volumes equal {format_rational(f2)}"
 
 
 @one_slot_memo

@@ -47,11 +47,13 @@ def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
 @one_slot_memo
 def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """|f ∩ g| for every pair of codim-2 faces, rows and columns in colex
-    order. Square of side C(n+1,2)."""
+    order. Square of side C(n+1,2). Faces that miss the vertex pairs p and q
+    share all n + 1 vertices but those of p ∪ q: n - 3 + |p ∩ q| of them."""
     if n < MIN_DIMENSION:
         raise ValueError(f"need n >= {MIN_DIMENSION}, got {n}")
-    faces = [set(f) for f in subsets_colex(n + 1, n - 1)]
-    return tuple(tuple(len(f & g) for g in faces) for f in faces)
+    vertices = range(1, n + 2)
+    missed = [tuple(v for v in vertices if v not in f) for f in subsets_colex(n + 1, n - 1)]
+    return tuple(tuple(n - 3 + (s in q) + (t in q) for q in missed) for s, t in missed)
 
 
 @one_slot_memo
@@ -66,5 +68,5 @@ def build_incidence_matrix(n: int) -> RationalMatrix:
     for f in faces:
         fs = set(f)
         rows.append([1 if fs.issuperset(e) else 0 for e in edges])
-    return RationalMatrix(rows)
+    return RationalMatrix._from_ints(rows, 1)
 

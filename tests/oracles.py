@@ -4,8 +4,9 @@ Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
 sympy, Heron's formula, exact difference quotients, one cofactor determinant
 per Jacobian entry, one pivoting adjugate per face's Cayley-Menger matrix,
-the nondegeneracy chain of exact squared volumes, the closed-form colex rank,
-stabilizer orbits and class indicators by set intersections,
+one Bareiss determinant per codim-2 face volume, the nondegeneracy chain of
+exact squared volumes, the closed-form colex rank, stabilizer orbits and
+class indicators by set intersections,
 report JSON through ``json.dumps``) and then compared against both the
 frozen literal and the library implementation.
 """
@@ -133,6 +134,12 @@ def d_sqvol_d_sqlen(
     # derivative of the determinant is the sum of the two (equal) cofactors.
     cofactor = (-1) ** (a + b) * det_fraction_free(RationalMatrix(minor))
     return _cm_constant(len(face) - 1) * 2 * cofactor
+
+
+def all_codim2_squared_volumes(E: EdgeLengthAssignment) -> tuple[Fraction, ...]:
+    """Squared (n-2)-volumes of all codim-2 faces, one Bareiss determinant
+    per face, in colex face-rank order."""
+    return tuple(squared_volume(E, f) for f in subsets_colex(E.n + 1, E.n - 1))
 
 
 def is_nondegenerate(E: EdgeLengthAssignment) -> bool:

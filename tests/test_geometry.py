@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import facevol.geometry as geometry_mod
 from facevol.geometry import (
     EdgeLengthAssignment,
-    all_codim2_squared_volumes,
     cayley_menger_matrix,
     simplex_det_adjugate,
     squared_volume,
@@ -20,6 +19,7 @@ from facevol.linalg import RationalMatrix, det_adjugate, det_fraction_free
 from facevol.subsets import subsets_colex
 
 from oracles import (
+    all_codim2_squared_volumes,
     heron_squared_area,
     identity,
     is_nondegenerate,

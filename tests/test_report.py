@@ -26,7 +26,6 @@ from facevol.gelfand import (
 )
 from facevol.geometry import (
     EdgeLengthAssignment,
-    all_codim2_squared_volumes,
     simplex_det_adjugate,
     squared_volume,
 )
@@ -152,7 +151,7 @@ def misclassify_one_pair(monkeypatch):
 def reject_regular_adjugate(monkeypatch):
     # Chain minor 3 of the regular point (-det CM{1,2,3} = 3) read with the
     # wrong sign: the Jacobian refuses the point, while geometry sanity's
-    # Bareiss face volumes stay right.
+    # Bareiss face volume stays right.
     eliminate = geometry_mod.det_adjugate
 
     def flipped(m):
@@ -167,17 +166,18 @@ def reject_regular_adjugate(monkeypatch):
 
 
 def wrong_face_volume(monkeypatch):
-    # Only geometry sanity reads the exact face volumes; the Jacobian and the
-    # FD cross-check take theirs from the whole simplex's adjugate.
-    exact = geometry_mod.squared_volume
+    # Only geometry sanity reads an exact face volume, of the first face; the
+    # Jacobian and the FD cross-check take theirs from the whole simplex's
+    # adjugate.
+    exact = report_mod.squared_volume
 
     def doubled(E, face):
-        return exact(E, face) * (2 if tuple(face) == (1, 2, 3, 5) else 1)
+        return exact(E, face) * (2 if tuple(face) == (1, 2, 3, 4) else 1)
 
-    monkeypatch.setattr(geometry_mod, "squared_volume", doubled)
+    monkeypatch.setattr(report_mod, "squared_volume", doubled)
     return (
         ("geometry_sanity",),
-        "codim-2 face (1, 2, 3, 5) has squared volume 1/36, not 1/72, at n=5",
+        "codim-2 face (1, 2, 3, 4) has squared volume 1/36, not 1/72, at n=5",
     )
 
 
@@ -447,6 +447,17 @@ class TestPipeline:
             "face 6 has cell weights (3, 20, 13), face 2 of its cell has (3, 18, 15)",
         )
 
+    def test_geometry_sanity_checks_its_premise(self, monkeypatch):
+        """One face's volume stands for every face only when every squared
+        length is 1: a regular point whose edge (5, 6), which the first face
+        misses, has squared length 2 fails with that edge named."""
+        stretched = with_squared(EdgeLengthAssignment.regular(5), (5, 6), Fraction(2))
+        monkeypatch.setattr(EdgeLengthAssignment, "regular", staticmethod(lambda n: stretched))
+        assert report_mod._geometry_sanity(5) == (
+            False,
+            "edge (5, 6) has squared length 2, not 1, at n=5",
+        )
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -613,8 +624,8 @@ class TestComputeOnce:
     def test_second_report_of_an_n_repeats_no_spectral_work(self, monkeypatch):
         """A second report of the same n with another seed gives char_poly,
         check_commutative, rank, fd_crosscheck, scaled_jacobian_at_regular and
-        all_codim2_squared_volumes no arguments that the first report gave
-        them: the regular-point work is done once per n."""
+        squared_volume no arguments that the first report gave them: the
+        regular-point work is done once per n."""
         calls = record_calls(
             monkeypatch,
             (
@@ -623,7 +634,7 @@ class TestComputeOnce:
                 rank,
                 fd_crosscheck,
                 scaled_jacobian_at_regular,
-                all_codim2_squared_volumes,
+                squared_volume,
             ),
         )
         verify_single(5, samples=2, seed=3)
@@ -680,6 +691,14 @@ class TestComputeOnce:
         assert calls[det_fraction_free] == [(build_incidence_matrix(n),)]
         assert all(calls[fn] == [] for fn in divisor)
         assert eliminated == [build_gram(n).nrows]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_geometry_sanity_takes_one_determinant(self, monkeypatch, n):
+        """A cold geometry sanity check computes one face's Cayley-Menger
+        determinant, of side n, for all C(n+1, 2) faces."""
+        calls = record_calls(monkeypatch, (det_fraction_free,))
+        assert report_mod._geometry_sanity(n)[0]
+        assert [m.nrows for (m,) in calls[det_fraction_free]] == [n]
 
     def test_one_adjugate_per_jacobian(self, monkeypatch):
         """Each Jacobian takes one adjugate, of the whole simplex's

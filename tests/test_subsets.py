@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from facevol.linalg import RationalMatrix
 from facevol.spectral import divisor_quotient
 from facevol.subsets import build_incidence_matrix, intersection_classes, subsets_colex
 
@@ -69,7 +70,7 @@ class TestIntersectionClass:
         with pytest.raises(ValueError):
             intersection_class((1, 2, 3), (1, 2))
 
-    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_table_lists_every_pair(self, n):
         faces = subsets_colex(n + 1, n - 1)
         assert intersection_classes(n) == tuple(
@@ -104,6 +105,12 @@ class TestIncidenceMatrix:
         assert m.nrows == m.ncols == comb(n + 1, 2)
         assert {sum(row) for row in m.rows} == {deg}
         assert {sum(col) for col in zip(*m.rows)} == {deg}
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_entries_are_edge_containment(self, n):
+        faces, edges = subsets_colex(n + 1, n - 1), subsets_colex(n + 1, 2)
+        contains = [[int(set(e) <= set(f)) for e in edges] for f in faces]
+        assert build_incidence_matrix(n) == RationalMatrix(contains)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
