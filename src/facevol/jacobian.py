@@ -39,7 +39,7 @@ from .geometry import (
     unit_regular_squared_volume,
 )
 from .linalg import RationalMatrix, rank
-from .subsets import subsets_colex
+from .subsets import missed_pairs, subsets_colex
 
 RANK_TRANSFER_NOTE = (
     "ranks are of the squared-volume map in squared-length coordinates; "
@@ -63,7 +63,6 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     on rows {w, s, t} and columns {u, s, t} (Horn & Johnson, *Matrix
     Analysis* §0.8.4)."""
     n = E.n
-    vertices = range(1, n + 2)
     delta, adj = simplex_det_adjugate(E)
     p = adj.num
     # adj(D) = p / q, so entry = 2c * minor(p) * delta.den^2 / (q^3 * delta.num^2),
@@ -73,8 +72,7 @@ def jacobian_squared_map(E: EdgeLengthAssignment) -> RationalMatrix:
     den = const.denominator * adj.den**3 * delta.numerator**2
     column = {e: j for j, e in enumerate(subsets_colex(n + 1, 2))}
     rows = []
-    for face in subsets_colex(n + 1, n - 1):
-        s, t = (v for v in vertices if v not in face)
+    for face, (s, t) in zip(subsets_colex(n + 1, n - 1), missed_pairs(n)):
         ps, pt = p[s], p[t]
         pss, pst, pts, ptt = ps[s], ps[t], pt[s], pt[t]
         # Expand the minor along its first row w: its cofactors depend on the

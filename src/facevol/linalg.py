@@ -12,11 +12,11 @@ exact; there is no floating-point code path in this module.
 - determinants and ranks use one-step Bareiss fraction-free elimination on the
   integer rows, so intermediate values stay integer minors of bounded size
   instead of rationals with growing gcd cost;
-- a rank first tries a one-directional proof mod the prime p = 2^31 - 1: if
+- a rank first tries a one-directional proof mod the prime p = 8388593: if
   the integer rows have full rank mod p, some minor of that size is nonzero
   mod p, hence nonzero over the integers, so the rank over the rationals is
-  full too. A smaller rank mod p is only a lower bound and proves nothing, so
-  the rank then comes from Bareiss elimination;
+  full too. Anything less proves nothing, so the rank then comes from
+  Bareiss elimination;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
   elimination on ``[num | I]`` with no pivot search, so its pivots are the
   leading principal minors, which it returns too;
@@ -36,9 +36,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# The modulus of the full-rank proof. Residues are below 2^31, so a product of
-# two of them stays below 2^62 and int64 elimination cannot overflow.
-_PRIME = 2**31 - 1
+# The modulus of the full-rank proof, the largest prime below 2^23: a product
+# of two residues is below 2^46, which leaves int64 room to delay reductions.
+_PRIME = 8388593
 # A product of integer matrices with inner dimension k is exact in int64 when
 # max|a| * max|b| * k < 2^63: every partial sum of an entry has at most k
 # terms, each of size at most max|a| * max|b|, so none overflows.
@@ -211,36 +211,35 @@ def det_fraction_free(m: RationalMatrix) -> Fraction:
     return Fraction(sign * a[-1][-1], m.den**m.nrows)
 
 
-def _rank_mod_p(num: Sequence[Sequence[int]]) -> int:
-    """Rank of the integer rows mod _PRIME, by Gaussian elimination on int64
-    residues, with the same column-by-column pivot search as _bareiss."""
+def _full_rank_mod_p(num: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer rows have full rank mod _PRIME. Row r of the
+    shorter side pivots on its first nonzero residue, in column c, and one
+    subtraction clears column c below it, with no row swaps, so the pivots
+    form a triangular minor that is nonzero mod p. Only row r and column c
+    are reduced (delayed reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3),
+    2008). Each step subtracts products of residues below 2^46, so entries
+    stay below 2^63 for fewer than 2^17 steps; 2^17 rows would hold at
+    least 2^34 residues, 128 GiB."""
+    if len(num) > len(num[0]):
+        num = tuple(zip(*num))
     a = np.array([[x % _PRIME for x in row] for row in num], dtype=np.int64)
-    nr, nc = a.shape
-    r = 0
-    for c in range(nc):
-        nonzero = np.flatnonzero(a[r:, c])
+    for r in range(len(a)):
+        row = a[r] % _PRIME
+        nonzero = np.flatnonzero(row)
         if not nonzero.size:
-            continue
-        piv = r + nonzero[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, _PRIME)
-        a[r, c:] = a[r, c:] * inv % _PRIME
-        below = a[r + 1 :, c : c + 1]
-        a[r + 1 :, c:] = (a[r + 1 :, c:] - below * a[r, c:]) % _PRIME
-        r += 1
-        if r == nr:
-            break
-    return r
+            return False
+        c = nonzero[0]
+        f = a[r + 1 :, c] % _PRIME * pow(int(row[c]), -1, _PRIME) % _PRIME
+        a[r + 1 :, c:] -= np.multiply.outer(f, row[c:])
+    return True
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals of the integer rows, which have the rank
     of m. Full rank mod _PRIME proves full rank over the rationals and is
     returned at once; otherwise the rank comes from Bareiss elimination."""
-    full = min(m.nrows, m.ncols)
-    if _rank_mod_p(m.num) == full:
-        return full
+    if _full_rank_mod_p(m.num):
+        return min(m.nrows, m.ncols)
     return _bareiss([list(row) for row in m.num])[0]
 
 

@@ -36,7 +36,7 @@ from .linalg import (
     format_rational,
     rank,
 )
-from .subsets import build_incidence_matrix, intersection_classes, subsets_colex
+from .subsets import build_incidence_matrix, intersection_classes, missed_pairs
 
 
 def _first_entry(a: RationalMatrix, b: RationalMatrix) -> tuple[int, int]:
@@ -269,10 +269,8 @@ def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     m = n + 1
-    vertices = set(range(1, m + 1))
     face = {}
-    for i, f in enumerate(subsets_colex(m, n - 1)):
-        s, t = vertices.difference(f)
+    for i, (s, t) in enumerate(missed_pairs(n)):
         face[s, t] = face[t, s] = i
 
     def cycle(a: int, b: int, c: int, d: int) -> SparseVector:

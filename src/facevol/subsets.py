@@ -44,6 +44,12 @@ def subsets_colex(n_total: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(combinations(range(1, n_total + 1), k), key=lambda s: s[::-1]))
 
 
+def missed_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair that each codim-2 face misses, faces in colex order.
+    Complementation reverses colex order, so face i misses edge N - 1 - i."""
+    return subsets_colex(n + 1, 2)[::-1]
+
+
 @one_slot_memo
 def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """|f ∩ g| for every pair of codim-2 faces, rows and columns in colex
@@ -51,22 +57,17 @@ def intersection_classes(n: int) -> tuple[tuple[int, ...], ...]:
     share all n + 1 vertices but those of p ∪ q: n - 3 + |p ∩ q| of them."""
     if n < MIN_DIMENSION:
         raise ValueError(f"need n >= {MIN_DIMENSION}, got {n}")
-    vertices = range(1, n + 2)
-    missed = [tuple(v for v in vertices if v not in f) for f in subsets_colex(n + 1, n - 1)]
+    missed = missed_pairs(n)
     return tuple(tuple(n - 3 + (s in q) + (t in q) for q in missed) for s, t in missed)
 
 
 @one_slot_memo
 def build_incidence_matrix(n: int) -> RationalMatrix:
     """0/1 matrix with rows the codim-2 faces and columns the edges, entry 1
-    when the edge lies in the face. Square of side C(n+1,2)."""
+    when the edge lies in the face, that is, when it misses the face's vertex
+    pair. Square of side C(n+1,2)."""
     if n < MIN_DIMENSION:
         raise ValueError(f"need n >= {MIN_DIMENSION}, got {n}")
-    faces = subsets_colex(n + 1, n - 1)
     edges = subsets_colex(n + 1, 2)
-    rows = []
-    for f in faces:
-        fs = set(f)
-        rows.append([1 if fs.issuperset(e) else 0 for e in edges])
+    rows = ([int(s not in e and t not in e) for e in edges] for s, t in missed_pairs(n))
     return RationalMatrix._from_ints(rows, 1)
-

@@ -2,9 +2,10 @@
 
 Every derived expected value in the tests is computed by one of these slow,
 obviously-correct routes (cofactor expansion, symbolic row reduction via
-sympy, Heron's formula, exact difference quotients, one cofactor determinant
-per Jacobian entry, one pivoting adjugate per face's Cayley-Menger matrix,
-one Bareiss determinant per codim-2 face volume, the nondegeneracy chain of
+sympy, row reduction over GF(p) by sympy's DomainMatrix, Heron's formula,
+exact difference quotients, one cofactor determinant per Jacobian entry,
+one pivoting adjugate per face's Cayley-Menger matrix, one Bareiss
+determinant per codim-2 face volume, the nondegeneracy chain of
 exact squared volumes, the closed-form colex rank, stabilizer orbits and
 class indicators by set intersections,
 report JSON through ``json.dumps``) and then compared against both the
@@ -26,6 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 import sympy
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from facevol.geometry import (
     EdgeLengthAssignment,
@@ -33,7 +35,7 @@ from facevol.geometry import (
     cayley_menger_matrix,
     squared_volume,
 )
-from facevol.linalg import RationalMatrix, _bareiss, det_fraction_free, format_rational
+from facevol.linalg import _PRIME, RationalMatrix, _bareiss, det_fraction_free, format_rational
 from facevol.subsets import subsets_colex, validate_subset
 
 
@@ -307,6 +309,13 @@ def sympy_rank(m: RationalMatrix) -> int:
 def sympy_det(m: RationalMatrix) -> Fraction:
     d = to_sympy(m).det()
     return Fraction(int(d.p), int(d.q))
+
+
+def gf_rank(num: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows over GF(_PRIME), by sympy's DomainMatrix."""
+    field = sympy.GF(_PRIME)
+    rows = [[field(x) for x in row] for row in num]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), field).rank()
 
 
 def bareiss_rank(m: RationalMatrix) -> int:

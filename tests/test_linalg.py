@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+import sympy
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ import facevol.linalg as linalg_mod
 from facevol.linalg import (
     _PRIME,
     RationalMatrix,
-    _rank_mod_p,
+    _full_rank_mod_p,
     char_poly,
     det_adjugate,
     det_fraction_free,
@@ -27,6 +28,7 @@ from oracles import (
     charpoly_by_cofactors,
     cofactor_det,
     evaluate_at_matrix,
+    gf_rank,
     identity,
     matmul_by_definition,
     mul_vector,
@@ -251,8 +253,43 @@ class TestRank:
     )
     def test_rank_that_drops_mod_p_comes_from_the_fallback(self, rows, expected):
         m = RationalMatrix(rows)
-        assert _rank_mod_p(m.num) < expected
+        assert not _full_rank_mod_p(m.num)
         assert rank(m) == bareiss_rank(m) == expected
+
+
+class TestFullRankModP:
+    def test_prime_premises(self):
+        """The modulus is prime, a residue fits in 23 bits, and 2^17 steps of
+        delayed reduction keep every entry below 2^63."""
+        assert sympy.isprime(_PRIME)
+        assert _PRIME < 2**23
+        assert 2**17 * (_PRIME - 1) ** 2 + _PRIME < 2**63
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+        st.data(),
+    )
+    def test_agrees_with_gf_p_rank(self, nr, inner, nc, data):
+        """Wide, tall and square integer matrices, often of planted rank: a
+        product through ``inner`` columns caps the rank. A multiple of the
+        prime added to an entry, some above 2^63, changes only its size, so
+        the rank over the rationals can be full while the rank mod p is not."""
+        small = st.integers(min_value=-3, max_value=3)
+        huge = st.integers(min_value=2**63, max_value=2**80).map(lambda x: x * (-1) ** x)
+
+        def draw(r, c, cells):
+            rows = st.lists(st.lists(cells, min_size=c, max_size=c), min_size=r, max_size=r)
+            return RationalMatrix(data.draw(rows))
+
+        if data.draw(st.booleans()):
+            base = draw(nr, inner, small) @ draw(inner, nc, small)
+        else:
+            base = draw(nr, nc, st.one_of(small, huge))
+        lift = st.one_of(st.just(0), small, huge)
+        num = [[x + data.draw(lift) * _PRIME for x in row] for row in base.num]
+        assert _full_rank_mod_p(num) == (gf_rank(num) == min(nr, nc))
 
 
 class TestEigenMultiplicity:

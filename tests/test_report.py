@@ -512,13 +512,13 @@ class TestPipeline:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_without_modular_proofs_every_byte_stays(self, monkeypatch, clear_memos):
-        """A mod-p rank that never reaches full rank sends every rank to
+        """A mod-p proof that never holds sends every rank to
         Bareiss elimination, and the reports do not change by a byte."""
         rep = verify_single(6, samples=2, seed=3)
         expected = [serialize_report(rep, fmt) for fmt in ("json", "markdown")]
         clear_memos()
         refused = []
-        monkeypatch.setattr(linalg_mod, "_rank_mod_p", lambda num: refused.append(num) or 0)
+        monkeypatch.setattr(linalg_mod, "_full_rank_mod_p", lambda num: refused.append(num) or False)
         rep = verify_single(6, samples=2, seed=3)
         assert [serialize_report(rep, fmt) for fmt in ("json", "markdown")] == expected
         assert len(refused) >= 6

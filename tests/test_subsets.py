@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from facevol.linalg import RationalMatrix
 from facevol.spectral import divisor_quotient
-from facevol.subsets import build_incidence_matrix, intersection_classes, subsets_colex
+from facevol.subsets import (
+    build_incidence_matrix,
+    intersection_classes,
+    missed_pairs,
+    subsets_colex,
+)
 
 from oracles import identity, intersection_class, orbit_partition, rank_subset
 
@@ -57,6 +62,17 @@ class TestRanking:
         for n, k in cases:
             listing = subsets_colex(n, k)
             assert [rank_subset(n, s) for s in listing] == list(range(comb(n, k)))
+
+class TestMissedPairs:
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_face_i_misses_edge_n_minus_1_minus_i(self, n):
+        """Complementation reverses colex order."""
+        faces, edges = subsets_colex(n + 1, n - 1), subsets_colex(n + 1, 2)
+        size = comb(n + 1, 2)
+        complements = [tuple(sorted(set(range(1, n + 2)) - set(f))) for f in faces]
+        assert complements == [edges[size - 1 - i] for i in range(size)]
+        assert missed_pairs(n) == tuple(complements)
+
 
 class TestIntersectionClass:
     def test_equal(self):
