@@ -5,9 +5,11 @@ These are the computational stand-ins for the representation-theoretic step
 of the argument: the three class indicator matrices span the orbit algebra,
 their commutativity plus a three-eigenvalue spectrum is the multiplicity-free
 signature, and the lifted divisor eigenvectors realize the orbit-constant
-eigenfunction in each eigenspace. The indicator matrices are the level sets of
-the intersection-class table that the Gram rule reads too, and since they are
-symmetric, one exact product decides their commutativity.
+eigenfunction in each eigenspace. char D proves the divisor's eigenvalues
+(spectral); the lifts alone prove its eigenvectors exact and nonzero. The
+indicator matrices are the level sets of the intersection-class table that the
+Gram rule reads too, and since they are symmetric, one exact product decides
+their commutativity.
 """
 
 from __future__ import annotations
@@ -87,22 +89,25 @@ class EigenvectorMatch:
 
 
 def match_eigenvectors(n: int) -> tuple[EigenvectorMatch, ...]:
-    """Lift each divisor eigenvector (proved by :func:`divisor_spectrum`) to a
-    cell-constant vector, verify it is an exact Gram eigenvector for the same
-    eigenvalue, and attach the certified multiplicity."""
+    """Prove the divisor eigenvectors by their cell-constant lifts, exact
+    Gram eigenvectors for the same eigenvalues and independent, and attach
+    the certified multiplicities."""
     pairs = divisor_spectrum(n)  # raises ValueError below n = 4
     lams = [lam for _, lam in pairs]
     multiplicity = {w.value: w.multiplicity for w in full_spectrum(n).eigenvalues}
-    # Row k of X = V P is divisor eigenvector k, constant on each cell; G is
-    # symmetric, so X G = diag(lam) X says that every row is a Gram eigenvector.
+    # Row k of X = V P is divisor eigenvector k, constant on each cell. G is
+    # symmetric and the quotient equitable (divisor_matrix refuses one that is
+    # not), so P G = D^T P and X G = diag(lam) X is (V D^T - diag(lam) V) P = 0:
+    # as P has full row rank, D v = lam v, and rank X = 3 makes each v nonzero.
     lifted = RationalMatrix([vec for vec, _ in pairs]) @ divisor_quotient(n).indicator
     diagonal = RationalMatrix([[lam * (j == k) for j in range(3)] for k, lam in enumerate(lams)])
     image, expected = lifted @ build_gram(n), diagonal @ lifted
     if image != expected:
         k, _ = _first_entry(image, expected)
         raise IntegrityError(f"lifted eigenvector failed for {lams[k]} at n={n}")
-    if rank(lifted) != 3:
-        raise IntegrityError(f"lifted eigenvectors are dependent at n={n}")
+    rk = rank(lifted)
+    if rk != 3:
+        raise IntegrityError(f"lifted eigenvectors are dependent at n={n}: rank {rk} of 3")
     return tuple(EigenvectorMatch(vec, lam, multiplicity[lam]) for vec, lam in pairs)
 
 

@@ -126,11 +126,12 @@ class IndependenceCertificate:
 
 
 def _sample_point(n: int, rng: random.Random) -> EdgeLengthAssignment:
-    # Squared lengths from {1 + k/16 : k = -2..2}: close enough to regular to
-    # stay robustly realizable while keeping denominators small.
-    sq = {
-        e: Fraction(16 + rng.randrange(-2, 3), 16) for e in subsets_colex(n + 1, 2)
-    }
+    # Squared lengths from {1 + k/q : k = -2..2} with q = 16 ceil(n/36): the
+    # spread shrinks as n grows, so draws stay close enough to regular to be
+    # realizable (at q = 16, every draw at n = 48 is degenerate), and the
+    # denominators stay small. Up to n = 36, q = 16.
+    q = 16 * -(-n // 36)
+    sq = {e: Fraction(q + rng.randrange(-2, 3), q) for e in subsets_colex(n + 1, 2)}
     return EdgeLengthAssignment(n, sq)
 
 

@@ -224,6 +224,15 @@ class TestIndependenceCertificate:
         for point in cert.points[1:]:
             assert set(point.squared_lengths.values()) <= allowed
 
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    def test_draws_stay_realizable_above_36(self, n):
+        """The spread of the sampled squared lengths shrinks with n, so the
+        first three draws of seed 42 are nondegenerate above n = 36 too (at
+        spread 2/16, every one of them is degenerate at n = 48 and 64)."""
+        rng = random.Random(f"42:{n}")
+        for _ in range(3):
+            simplex_det_adjugate(_sample_point(n, rng))
+
     def test_sample_shortfall_raises(self, monkeypatch):
         """A sample whose every draw is degenerate fails the certificate
         instead of being dropped."""

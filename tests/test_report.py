@@ -107,12 +107,11 @@ def _replaced_divisor_pair(monkeypatch, which, pair):
 
 
 def wrong_divisor_eigenvector(monkeypatch):
+    # The eigenvalues stay those of char D, so only the lifts, the one proof
+    # of the divisor's eigenvectors, catch the wrong vector.
     (x, y, z), lam = divisor_eigenpairs(5)[1]
     _replaced_divisor_pair(monkeypatch, 1, ((x, -y, z), lam))
-    return (
-        DIVISOR_READERS,
-        "divisor eigenvector check failed for 9 at n=5: D v entry (0, 0) is 6, expected -18",
-    )
+    return GELFAND_CHECKS, "lifted eigenvector failed for 9 at n=5"
 
 
 def repeated_divisor_eigenvalue(monkeypatch):
@@ -125,17 +124,20 @@ def repeated_divisor_eigenvalue(monkeypatch):
 
 
 def zero_divisor_eigenvector(monkeypatch):
-    # D 0 = 2 * 0 holds, and 36, 9, 2 are distinct; the zero vector is refused
-    # before char D, which disagrees too, is compared.
+    # 36, 9, 2 are distinct, and char D refuses them before any lift is made.
     _replaced_divisor_pair(monkeypatch, 2, ((Fraction(0),) * 3, Fraction(2)))
-    return DIVISOR_READERS, "divisor eigenvector for 2 is zero at n=5"
+    return (
+        DIVISOR_READERS,
+        "divisor eigenvalues 36, 9, 2 are not the distinct roots of char D at n=5: "
+        "char D is (-324, 369, -46, 1), prod (x - lam) is (-648, 414, -47, 1)",
+    )
 
 
 def zero_unit_eigenvector(monkeypatch):
-    # D 0 = 1 * 0 holds, 36, 9, 1 are distinct and char D is prod (x - lam):
-    # only the zero vector itself is wrong, and the Gram spectrum still passes.
+    # X G = diag(lam) X holds on the zero row, 36, 9, 1 are distinct and char D
+    # is prod (x - lam): only the rank of the lifts sees the zero vector.
     _replaced_divisor_pair(monkeypatch, 2, ((Fraction(0),) * 3, Fraction(1)))
-    return DIVISOR_READERS, "divisor eigenvector for 1 is zero at n=5"
+    return GELFAND_CHECKS, "lifted eigenvectors are dependent at n=5: rank 2 of 3"
 
 
 def misclassify_one_pair(monkeypatch):
@@ -546,14 +548,17 @@ class TestPipeline:
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_wrong_divisor_eigenvector_fails_divisibility_and_gelfand(self, monkeypatch, capsys):
-        """A wrong divisor eigenvector fails the divisor's own proof, which
-        the divisibility check and the eigenvector lifts read; the Gram
-        spectrum, certified from its eigenvector families alone, passes."""
+    def test_wrong_divisor_eigenvector_fails_only_gelfand(self, monkeypatch, capsys):
+        """A wrong divisor eigenvector fails its lift, which the three gelfand
+        checks read; char D still proves the eigenvalues, so divisibility
+        passes, and so does the Gram spectrum, certified from its eigenvector
+        families alone."""
         failing, message = wrong_divisor_eigenvector(monkeypatch)
         checks = verify_single(5, 0, 0).checks
         failed = {c.name: c.details for c in checks if c.status == "fail"}
         assert failed == dict.fromkeys(failing, message)
+        divides = "divisor char poly divides Gram char poly"
+        assert CheckResult("divisor_char_poly_divides", "pass", divides) in checks
         assert CheckResult("spectrum_certificate", "pass", "36:1, 9:5, 1:9") in checks
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
@@ -736,11 +741,11 @@ class TestComputeOnce:
 
     def test_failed_divisor_proof_runs_once(self, monkeypatch):
         """A divisor proof that fails is remembered like a result: the four
-        checks that read it fail with its one error, and the gelfand report,
-        which fails at the eigenvector lifts, is attempted once. So the proof,
-        commutativity and the lifts run once each, and the side-15 products
-        are M M^T and A1 A2, as in a passing report."""
-        failing, message = wrong_divisor_eigenvector(monkeypatch)
+        checks that read it fail with its one char D error, and the gelfand
+        report, which fails at the eigenvector lifts, is attempted once. So
+        the proof, commutativity and the lifts run once each, and the side-15
+        products are M M^T and A1 A2, as in a passing report."""
+        failing, message = repeated_divisor_eigenvalue(monkeypatch)
         stages = (check_commutative, match_eigenvectors, divisor_spectrum)
         calls = record_calls(monkeypatch, stages)
         products = record_products(monkeypatch)
