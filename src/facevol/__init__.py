@@ -16,12 +16,10 @@ from .exceptions import IntegrityError
 from .gelfand import (
     EigenvectorMatch,
     GelfandReport,
-    OrbitalMatrices,
     check_commutative,
     eigenspace_dimensions,
     gelfand_report,
     match_eigenvectors,
-    orbital_matrices,
 )
 from .geometry import (
     EdgeLengthAssignment,
@@ -81,12 +79,10 @@ __all__ = [
     "IntegrityError",
     "EigenvectorMatch",
     "GelfandReport",
-    "OrbitalMatrices",
     "check_commutative",
     "eigenspace_dimensions",
     "gelfand_report",
     "match_eigenvectors",
-    "orbital_matrices",
     "EdgeLengthAssignment",
     "cayley_menger_matrix",
     "squared_volume",

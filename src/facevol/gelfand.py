@@ -8,8 +8,9 @@ signature, and the lifted divisor eigenvectors realize the orbit-constant
 eigenfunction in each eigenspace. char D proves the divisor's eigenvalues
 (spectral); the lifts alone prove its eigenvectors exact and nonzero. The
 indicator matrices are the level sets of the intersection-class table that the
-Gram rule reads too, and since they are symmetric, one exact product decides
-their commutativity.
+Gram rule reads too, and three facts about that table decide their
+commutativity without forming either matrix: it is symmetric, its classes
+partition the face pairs, and A1 is regular.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 from .claims import ClaimRecord, audit, stated
 from .exceptions import IntegrityError, one_slot_memo
 from .linalg import RationalMatrix, rank
 from .spectral import (
-    _first_deviation,
     _first_entry,
     build_gram,
     divisor_quotient,
@@ -33,42 +32,33 @@ from .spectral import (
 from .subsets import intersection_classes
 
 
-class OrbitalMatrices(NamedTuple):
-    a1: RationalMatrix
-    a2: RationalMatrix
-
-
-def orbital_matrices(n: int) -> OrbitalMatrices:
-    """0/1 indicator matrices of the two non-identity intersection classes
-    of codim-2 face pairs: overlap n-2 and overlap n-3. With the identity
-    they sum to all-ones."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    table = intersection_classes(n)
-    return OrbitalMatrices(
-        *(
-            RationalMatrix._from_ints(([int(k == target) for k in row] for row in table), 1)
-            for target in (n - 2, n - 3)
-        )
-    )
-
-
 @one_slot_memo
 def commutativity_defect(n: int) -> str | None:
-    """None when A1, A2 and the one product A1 A2 are all symmetric;
-    otherwise the first of them that is not, and its first entry that differs
-    from the transposed one. For symmetric A1 and A2, A2 A1 = (A1 A2)^T, so
-    they commute exactly when A1 A2 is symmetric."""
-    a1, a2 = orbital_matrices(n)
-    for name, m in (("A1", a1), ("A2", a2), ("A1 A2", a1 @ a2)):
-        if not m.is_symmetric():
-            return f"{name} is not symmetric: {_first_deviation(m, m.transpose())}"
+    """None when the class table proves that A1 and A2, its level sets n-2
+    and n-3, commute; otherwise the first premise that fails and where. The
+    premises: the table is symmetric; n-1 lies exactly on its diagonal and
+    every other entry is n-2 or n-3, so I + A1 + A2 = J; and every row holds
+    2(n-1) entries n-2, so A1 J = 2(n-1) J, which by symmetry is J A1. Then
+    A2 = J - I - A1 commutes with A1."""
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
+    table, degree = intersection_classes(n), 2 * (n - 1)
+    for i, row in enumerate(table):
+        for j, (k, kt) in enumerate(zip(row, (r[i] for r in table))):
+            if k != kt:
+                return f"class table is not symmetric: entry ({i}, {j}) is {k}, expected {kt}"
+            if k != n - 1 if i == j else k not in (n - 2, n - 3):
+                expected = n - 1 if i == j else f"{n - 2} or {n - 3}"
+                return f"I + A1 + A2 is not J: entry ({i}, {j}) is {k}, expected {expected}"
+        if row.count(n - 2) != degree:
+            return f"A1 is not regular: row {i} sums to {row.count(n - 2)}, expected {degree}"
     return None
 
 
 def check_commutative(n: int) -> bool:
-    """Exact commutativity of the two non-identity class matrices; with the
-    identity they generate the whole orbit algebra, so this is the full test."""
+    """Exact commutativity of the two non-identity class matrices, proved on
+    the class table; with the identity they generate the whole orbit algebra,
+    so this is the full test."""
     return commutativity_defect(n) is None
 
 

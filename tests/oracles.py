@@ -101,6 +101,11 @@ def class_indicator(n: int, size: int) -> RationalMatrix:
     return RationalMatrix([[int(intersection_class(f, g) == size) for g in faces] for f in faces])
 
 
+def level_set(table: Sequence[Sequence[int]], k: int) -> sympy.Matrix:
+    """The 0/1 indicator of the entries k of a class table, in sympy."""
+    return sympy.Matrix([[int(x == k) for x in row] for row in table])
+
+
 def orbit_partition(n: int, base: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The three orbits of the stabilizer of the codim-2 face ``base``, as
     colex ranks: the base itself, the faces meeting it in n-2 vertices, and

@@ -7,39 +7,46 @@ import sympy
 import facevol.gelfand as gelfand_mod
 from facevol.gelfand import (
     check_commutative,
+    commutativity_defect,
     eigenspace_dimensions,
     gelfand_report,
     match_eigenvectors,
-    orbital_matrices,
 )
 from facevol.linalg import RationalMatrix, rank
 from facevol.spectral import build_gram, full_spectrum
+from facevol.subsets import intersection_classes
 
-from oracles import class_indicator, identity, mul_vector, orbit_partition, to_sympy
+from oracles import class_indicator, identity, level_set, mul_vector, orbit_partition, to_sympy
 
 
 class TestOrbitalMatrices:
+    """A1 and A2, the level sets n-2 and n-3 of the class table, are the
+    indicators of the face pairs that meet in n-2 and in n-3 vertices."""
+
     def test_a0_is_identity(self):
-        """The equality class is the diagonal; the built classes are the
-        pairs that meet in 2 and in 1 vertices."""
+        """The equality class is the diagonal; the table's other classes are
+        the pairs that meet in 2 and in 1 vertices."""
+        table = intersection_classes(4)
         assert class_indicator(4, 3) == identity(10)
-        assert orbital_matrices(4) == (class_indicator(4, 2), class_indicator(4, 1))
+        for k in (3, 2, 1):
+            assert level_set(table, k) == to_sympy(class_indicator(4, k))
 
     def test_row_sums_n4(self):
-        a1, a2 = orbital_matrices(4)
-        assert {sum(row) for row in a1.rows} == {6}
-        assert {sum(row) for row in a2.rows} == {3}
+        table = intersection_classes(4)
+        assert {row.count(2) for row in table} == {6}
+        assert {row.count(1) for row in table} == {3}
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_classes_partition_all_pairs(self, n):
-        a0, (a1, a2) = class_indicator(n, n - 1), orbital_matrices(n)
-        size = comb(n + 1, 2)
-        assert to_sympy(a0) + to_sympy(a1) + to_sympy(a2) == sympy.ones(size)
+        table = intersection_classes(n)
+        a0, a1, a2 = (level_set(table, k) for k in (n - 1, n - 2, n - 3))
+        assert a0 + a1 + a2 == sympy.ones(comb(n + 1, 2))
+        assert a1 == to_sympy(class_indicator(n, n - 2))
         assert a1.is_symmetric() and a2.is_symmetric()
 
     def test_rejects_n3(self):
         with pytest.raises(ValueError):
-            orbital_matrices(3)
+            check_commutative(3)
 
 
 class TestCommutativity:
@@ -47,21 +54,29 @@ class TestCommutativity:
     def test_commutative(self, n):
         assert check_commutative(n)
 
-    def test_symmetric_product_of_a_nonsymmetric_pair_proves_nothing(self, monkeypatch):
-        # A1 A2 is symmetric but A2 A1 differs: the symmetry of the factors
-        # is what turns the one product into a proof.
-        a1 = RationalMatrix([[0, 1], [0, 0]])
-        a2 = a1.transpose()
-        assert (a1 @ a2).is_symmetric() and a1 @ a2 != a2 @ a1
-        monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: (a1, a2))
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_agrees_with_the_product_oracle(self, n):
+        a1, a2 = (to_sympy(class_indicator(n, k)) for k in (n - 2, n - 3))
+        assert check_commutative(n) == (a1 * a2 == a2 * a1)
+
+    def test_row_regular_nonsymmetric_pair_proves_nothing(self, monkeypatch):
+        # Row 0 trades an n-2 for an n-3 in two columns, so every row still
+        # partitions and holds 2(n-1) entries n-2, but columns 1 and 7 do
+        # not: the symmetry of the table is what makes A1 commute with J.
+        table = [list(row) for row in intersection_classes(4)]
+        assert (table[0][1], table[0][7]) == (2, 1)
+        table[0][1], table[0][7] = 1, 2
+        a1, a2 = level_set(table, 2), level_set(table, 1)
+        assert a1 * a2 != a2 * a1
+        monkeypatch.setattr(gelfand_mod, "intersection_classes", lambda n: table)
+        assert commutativity_defect(4) == "class table is not symmetric: entry (0, 1) is 1, expected 2"
         assert not check_commutative(4)
 
     def test_nonsymmetric_control_breaks_it(self):
-        a1, _ = orbital_matrices(4)
-        bad_rows = [[0] * 10 for _ in range(10)]
-        bad_rows[0][1] = 1
-        bad = RationalMatrix(bad_rows)
-        assert a1 @ bad != bad @ a1
+        a1 = to_sympy(class_indicator(4, 2))
+        bad = sympy.zeros(10)
+        bad[0, 1] = 1
+        assert a1 * bad != bad * a1
 
 
 class TestEigenspaces:

@@ -18,12 +18,7 @@ import facevol.report as report_mod
 import facevol.spectral as spectral_mod
 from facevol.cli import main
 from facevol.exceptions import IntegrityError, one_slot_memo
-from facevol.gelfand import (
-    OrbitalMatrices,
-    check_commutative,
-    match_eigenvectors,
-    orbital_matrices,
-)
+from facevol.gelfand import check_commutative, commutativity_defect, match_eigenvectors
 from facevol.geometry import (
     EdgeLengthAssignment,
     simplex_det_adjugate,
@@ -57,6 +52,7 @@ from facevol.subsets import build_incidence_matrix, intersection_classes
 
 from oracles import (
     dense,
+    level_set,
     serialize_report_by_json_dumps,
     serialize_reports_by_json_dumps,
     with_squared,
@@ -183,26 +179,35 @@ def wrong_face_volume(monkeypatch):
     )
 
 
-def _flipped_a2(monkeypatch, entries, defect):
-    """Serve orbital matrices whose A2 has the given entries flipped."""
-    a1, a2 = orbital_matrices(5)
-    num = [list(row) for row in a2.num]
-    for i, j in entries:
-        num[i][j] = 1 - num[i][j]
-    flipped = OrbitalMatrices(a1, RationalMatrix._from_ints(num, 1))
-    monkeypatch.setattr(gelfand_mod, "orbital_matrices", lambda n: flipped)
+def _faulted_table(monkeypatch, entries, defect):
+    """Serve the commutativity proof, and it alone, the class table at n = 5
+    with the given entries replaced."""
+    table = [list(row) for row in intersection_classes(5)]
+    for (i, j), k in entries.items():
+        table[i][j] = k
+    monkeypatch.setattr(gelfand_mod, "intersection_classes", lambda n: table)
     return ("orbital_commutativity",), f"class indicator matrices do not commute at n=5: {defect}"
 
 
 def asymmetric_a2(monkeypatch):
-    defect = "A2 is not symmetric: entry (0, 1) is 1, expected 0"
-    return _flipped_a2(monkeypatch, [(0, 1)], defect)
+    # Entry (0, 1) moves from A1 to A2 on one side only.
+    defect = "class table is not symmetric: entry (0, 1) is 2, expected 3"
+    return _faulted_table(monkeypatch, {(0, 1): 2}, defect)
+
+
+def off_diagonal_identity(monkeypatch):
+    # Faces 0 and 1 read as equal on both sides: the table stays symmetric,
+    # and its classes no longer partition the face pairs.
+    defect = "I + A1 + A2 is not J: entry (0, 1) is 4, expected 3 or 2"
+    return _faulted_table(monkeypatch, {(0, 1): 4, (1, 0): 4}, defect)
 
 
 def noncommuting_a2(monkeypatch):
-    # A2 stays symmetric, and the one product A1 A2 is not.
-    defect = "A1 A2 is not symmetric: entry (0, 2) is 3, expected 4"
-    return _flipped_a2(monkeypatch, [(0, 1), (1, 0)], defect)
+    # Rows 0 and 1 swap their classes in column 6, and column 6 swaps them in
+    # rows 0 and 1: the table stays symmetric and partitioned, but rows 0 and 1
+    # hold 7 and 9 entries n-2, so A1 is not regular and A1 A2 != A2 A1.
+    defect = "A1 is not regular: row 0 sums to 7, expected 8"
+    return _faulted_table(monkeypatch, {(0, 6): 2, (6, 0): 2, (1, 6): 3, (6, 1): 3}, defect)
 
 
 def wrong_lifted_eigenvector(monkeypatch):
@@ -310,6 +315,7 @@ STAGE_FAULTS = [
     perturb_divisor_closed_form,
     misclassify_one_pair,
     asymmetric_a2,
+    off_diagonal_identity,
     noncommuting_a2,
     wrong_basis_vector,
     dependent_family,
@@ -327,6 +333,16 @@ STAGE_FAULTS = [
     rank_one_short,
     perturbed_fd_jacobian,
 ]
+
+
+@pytest.mark.parametrize("fault", [asymmetric_a2, off_diagonal_identity, noncommuting_a2])
+def test_commutativity_faults_break_the_product(monkeypatch, fault):
+    """The product oracle confirms each class table that the commutativity
+    proof refuses: its A1 and A2 do not commute."""
+    fault(monkeypatch)
+    table = gelfand_mod.intersection_classes(5)
+    a1, a2 = level_set(table, 3), level_set(table, 2)
+    assert a1 * a2 != a2 * a1
 
 
 def break_fd_crosscheck(monkeypatch):
@@ -727,51 +743,49 @@ class TestComputeOnce:
         assert calls == {det_fraction_free: [], squared_volume: []}
 
     def test_orbit_algebra_built_once(self, monkeypatch):
-        """The Gram rule, the stabilizer orbits and the orbital matrices read
-        one intersection-class table, and commutativity takes one product:
-        the side-21 products are M M^T and A1 A2 only."""
-        calls = record_calls(monkeypatch, (intersection_classes,))
+        """The Gram rule, the stabilizer orbits and the commutativity proof
+        read one intersection-class table, the proof runs once, and no
+        indicator matrix is multiplied: the side-21 products are M M^T only."""
+        calls = record_calls(monkeypatch, (intersection_classes, commutativity_defect))
         products = record_products(monkeypatch)
         verify_single(6, samples=2, seed=3)
-        assert calls[intersection_classes] == [(6,)]
+        assert calls == {intersection_classes: [(6,)], commutativity_defect: [(6,)]}
         m = build_incidence_matrix(6)
-        a1, a2 = orbital_matrices(6)
         side_21 = [(a, b) for a, b in products if a.nrows == 21 and b.ncols == 21]
-        assert side_21 == [(m, m.transpose()), (a1, a2)]
+        assert side_21 == [(m, m.transpose())]
 
     def test_failed_divisor_proof_runs_once(self, monkeypatch):
         """A divisor proof that fails is remembered like a result: the four
         checks that read it fail with its one char D error, and the gelfand
         report, which fails at the eigenvector lifts, is attempted once. So
         the proof, commutativity and the lifts run once each, and the side-15
-        products are M M^T and A1 A2, as in a passing report."""
+        products are M M^T only, as in a passing report."""
         failing, message = repeated_divisor_eigenvalue(monkeypatch)
-        stages = (check_commutative, match_eigenvectors, divisor_spectrum)
+        stages = (check_commutative, commutativity_defect, match_eigenvectors, divisor_spectrum)
         calls = record_calls(monkeypatch, stages)
         products = record_products(monkeypatch)
         rep = verify_single(5, 0, 0)
         failed = {c.name: c.details for c in rep.checks if c.status == "fail"}
         assert failed == dict.fromkeys(failing, message)
-        assert [len(calls[fn]) for fn in stages] == [1, 1, 1]
+        assert [len(calls[fn]) for fn in stages] == [1, 1, 1, 1]
         m = build_incidence_matrix(5)
-        a1, a2 = orbital_matrices(5)
-        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
+        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose())]
 
     def test_failed_commutativity_runs_once(self, monkeypatch):
         """A failing commutativity check reads the one memoized defect that
-        the gelfand report found: the orbital matrices are built once, and
-        the side-15 products are M M^T and A1 A2, as in a passing report."""
+        the gelfand report found: the served class table is read once, the
+        proof runs once, and the side-15 products are M M^T only, as in a
+        passing report."""
         failing, message = noncommuting_a2(monkeypatch)
-        served = gelfand_mod.orbital_matrices
-        calls = record_calls(monkeypatch, (served,))
+        served = gelfand_mod.intersection_classes
+        calls = record_calls(monkeypatch, (served, commutativity_defect))
         products = record_products(monkeypatch)
         rep = verify_single(5, 0, 0)
         failed = {c.name: c.details for c in rep.checks if c.status == "fail"}
         assert failed == dict.fromkeys(failing, message)
-        assert calls[served] == [(5,)]
+        assert calls == {served: [(5,)], commutativity_defect: [(5,)]}
         m = build_incidence_matrix(5)
-        a1, a2 = served(5)
-        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose()), (a1, a2)]
+        assert [(a, b) for a, b in products if a.nrows == 15] == [(m, m.transpose())]
 
     def test_broken_gram_rule_is_built_once(self, monkeypatch):
         """A Gram matrix whose two constructions disagree fails its eight
