@@ -17,6 +17,9 @@ exact; there is no floating-point code path in this module.
   mod p, hence nonzero over the integers, so the rank over the rationals is
   full too. Anything less proves nothing, so the rank then comes from
   Bareiss elimination;
+- the same elimination mod p, read for its pivots and their columns, gives
+  a determinant mod p: the independent cross-check of the determinant of the
+  incidence matrix, which the spectrum proves exactly;
 - the adjugate uses the fraction-free Gauss-Jordan form of the same
   elimination on ``[num | I]`` with no pivot search, so its pivots are the
   leading principal minors, which it returns too;
@@ -211,27 +214,62 @@ def det_fraction_free(m: RationalMatrix) -> Fraction:
     return Fraction(sign * a[-1][-1], m.den**m.nrows)
 
 
-def _full_rank_mod_p(num: Sequence[Sequence[int]]) -> bool:
-    """Whether the integer rows have full rank mod _PRIME. Row r of the
-    shorter side pivots on its first nonzero residue, in column c, and one
-    subtraction clears column c below it, with no row swaps, so the pivots
-    form a triangular minor that is nonzero mod p. Only row r and column c
-    are reduced (delayed reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3),
-    2008). Each step subtracts products of residues below 2^46, so entries
-    stay below 2^63 for fewer than 2^17 steps; 2^17 rows would hold at
-    least 2^34 residues, 128 GiB."""
-    if len(num) > len(num[0]):
-        num = tuple(zip(*num))
+def _eliminate_mod_p(num: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Elimination mod _PRIME of integer rows no longer than they are wide.
+    Row r pivots on its first nonzero residue, in column c, and one
+    subtraction clears column c below it, with no row swaps. Returns the
+    pivot residues and their columns, row by row, up to the first row with
+    no nonzero residue left. Only row r and column c are reduced (delayed
+    reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). Each step
+    subtracts products of residues below 2^46, so entries stay below 2^63
+    for fewer than 2^17 steps; 2^17 rows would hold at least 2^34 residues,
+    128 GiB."""
     a = np.array([[x % _PRIME for x in row] for row in num], dtype=np.int64)
+    pivots, cols = [], []
     for r in range(len(a)):
         row = a[r] % _PRIME
         nonzero = np.flatnonzero(row)
         if not nonzero.size:
-            return False
-        c = nonzero[0]
-        f = a[r + 1 :, c] % _PRIME * pow(int(row[c]), -1, _PRIME) % _PRIME
+            break
+        c = int(nonzero[0])
+        pivot = int(row[c])
+        f = a[r + 1 :, c] % _PRIME * pow(pivot, -1, _PRIME) % _PRIME
         a[r + 1 :, c:] -= np.multiply.outer(f, row[c:])
-    return True
+        pivots.append(pivot)
+        cols.append(c)
+    return pivots, cols
+
+
+def _full_rank_mod_p(num: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer rows have full rank mod _PRIME: every row of the
+    shorter side takes a pivot, and the pivots form a triangular minor that
+    is nonzero mod p."""
+    if len(num) > len(num[0]):
+        num = tuple(zip(*num))
+    return len(_eliminate_mod_p(num)[0]) == len(num)
+
+
+def det_mod_p(num: Sequence[Sequence[int]]) -> int:
+    """The determinant of square integer rows mod _PRIME, in 0..p-1, from one
+    elimination. Row r ends with its pivot in column c_r and zeros in the
+    pivot columns of the rows above it, so moving column c_r to place r
+    makes the rows triangular: det = sign(r -> c_r) * prod(pivots)."""
+    if len(num) != len(num[0]):
+        raise ValueError("determinant needs a square matrix")
+    pivots, cols = _eliminate_mod_p(num)
+    if len(pivots) < len(num):
+        return 0
+    # A permutation of k points with c cycles has the sign (-1)^(k - c).
+    cycles, seen = 0, [False] * len(cols)
+    for start in range(len(cols)):
+        if not seen[start]:
+            cycles, j = cycles + 1, start
+            while not seen[j]:
+                seen[j], j = True, cols[j]
+    det = (-1) ** (len(cols) - cycles)
+    for pivot in pivots:
+        det = det * pivot % _PRIME
+    return det
 
 
 def rank(m: RationalMatrix) -> int:

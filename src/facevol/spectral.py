@@ -1,21 +1,25 @@
 """The face-edge Gram matrix, equitable partitions and their quotients, the
 3x3 orbit divisor, and the fully certified spectrum of the Gram matrix.
 
-A codim-2 face is the complement of a vertex pair, so the Gram matrix lies in
-the Bose-Mesner algebra of the Johnson scheme J(n+1, 2), and each of its
-three eigenspaces has an explicit integer spanning set (Delsarte 1973;
-Brouwer & Haemers, *Spectra of Graphs*, the triangular graph T(n+1)). The
-families are grouped by eigenvalue (at n = 3 all three belong to 1); every
-vector is checked to be an exact eigenvector, and each group is proved
-independent by one full-rank `rank`, which gives a lower bound on each
-multiplicity. Eigenvectors of distinct eigenvalues are independent, so lower
-bounds that sum to the dimension are exact, and the Gram matrix is
-diagonalizable with characteristic polynomial prod (x - lam_i)^m_i. The trace
-and the product of the eigenvalues are then compared with the trace of G and
-with (det M)^2. The divisor's eigenvalues are proved by char D alone: they are
-distinct and char D = prod (x - lam), so char D divides char G exactly when
-each of them is a certified Gram eigenvalue. Its eigenvectors are proved once,
-by their lifts to Gram eigenvectors (gelfand.match_eigenvectors).
+Face i misses edge N-1-i, so K = M R, the incidence matrix M with its columns
+reversed, is the adjacency matrix of the Kneser graph KG(n+1, 2); it is
+proved symmetric, and then G = M M^T = K K^T = K^2. K lies in the
+Bose-Mesner algebra of the Johnson scheme J(n+1, 2), and each of its three
+eigenspaces has an explicit integer spanning set, with eigenvalues C(n-1,2),
+-(n-2) and 1 (Delsarte 1973; Lovasz 1979; Godsil & Royle, *Algebraic Graph
+Theory*, ch. 7). The families are grouped by eigenvalue mu of K (at n = 3 the
+first and last both belong to 1); every vector is checked to be an exact
+eigenvector, and each group is proved independent by one full-rank `rank`,
+which gives a lower bound on each multiplicity. Eigenvectors of distinct
+eigenvalues are independent, so lower bounds that sum to the dimension are
+exact: K is diagonalizable, det K = prod mu^m, and G has the eigenvalues
+lam = mu^2, the groups of mu and -mu merged. The trace of G is compared with
+sum mu^2 m, and det M = (-1)^floor(N/2) det K with det M mod p from one
+elimination of M (linalg.det_mod_p). The divisor's eigenvalues are proved by
+char D alone: they are distinct and char D = prod (x - lam), so char D divides
+char G exactly when each of them is a certified Gram eigenvalue. Its
+eigenvectors are proved once, by their lifts to Gram eigenvectors
+(gelfand.match_eigenvectors).
 Computed values are authoritative; disagreements with the claimed closed
 forms are recorded as discrepancies.
 """
@@ -24,15 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .claims import ClaimRecord, audit
 from .exceptions import IntegrityError, one_slot_memo
 from .linalg import (
+    _PRIME,
     RationalMatrix,
     char_poly,
-    det_fraction_free,
+    det_mod_p,
     exact_sqrt,
     format_rational,
     rank,
@@ -230,32 +235,26 @@ class SpectrumCertificate:
     discrepancies: tuple[ClaimRecord, ...]
 
 
-@one_slot_memo
-def det_incidence(n: int) -> Fraction:
-    """Exact (signed) determinant of the incidence matrix."""
-    return det_fraction_free(build_incidence_matrix(n))
-
-
 # A sparse integer vector indexed by face: (colex rank, coefficient) pairs.
 SparseVector = tuple[tuple[int, int], ...]
 
 
 def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
-    """Explicit integer eigenvector families of the Gram matrix, as
-    (eigenvalue, vectors) in descending eigenvalue order: one spanning set
-    per eigenspace of the Johnson scheme J(n+1, 2).
+    """Explicit integer eigenvector families of K = M R, as (eigenvalue mu,
+    vectors): one spanning set per eigenspace of the Johnson scheme
+    J(n+1, 2). The Gram eigenvalues mu^2 descend in this order from n = 4.
 
     A face is the complement of a vertex pair {s, t} of 1..m, m = n + 1, and
     a vector takes its value on the face from that pair:
-    - C(n-1,2)^2: the all-ones vector;
-    - (n-2)^2: for a = 1..n, x({s,t}) = g(s) + g(t) with g = e_a - e_m;
+    - C(n-1,2): the all-ones vector;
+    - -(n-2): for a = 1..n, x({s,t}) = g(s) + g(t) with g = e_a - e_m;
     - 1: signed 4-cycles a-b-c-d, +1 on the pairs ab and cd and -1 on bc and
       da, for the cycles 1-c-d-2 (3 <= c < d <= m) and 1-3-2-c (4 <= c <= m).
       They lie in the kernel of the unsigned vertex-pair incidence matrix of
       K_m, which has dimension C(m,2) - m (Godsil & Royle, *Algebraic Graph
       Theory* ch. 8).
     The family sizes are 1, n and (n+1)(n-2)/2, which sum to C(n+1,2). At
-    n = 3 the three eigenvalues all equal 1.
+    n = 3 the eigenvalues are 1, -1 and 1.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -276,37 +275,82 @@ def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
         cycle(1, c, d, 2) for c in range(3, m + 1) for d in range(c + 1, m + 1)
     ) + tuple(cycle(1, 3, 2, c) for c in range(4, m + 1))
     return (
-        (Fraction(comb(n - 1, 2) ** 2), ones),
-        (Fraction((n - 2) ** 2), stars),
+        (Fraction(comb(n - 1, 2)), ones),
+        (Fraction(2 - n), stars),
         (Fraction(1), cycles),
     )
 
 
+def kneser_matrix(n: int) -> RationalMatrix:
+    """K = M R, the incidence matrix with its columns reversed. Face i misses
+    edge N-1-i, so K[i, j] = 1 exactly when faces i and j miss disjoint
+    vertex pairs: K is the adjacency matrix of the Kneser graph KG(n+1, 2)."""
+    return RationalMatrix._from_ints((row[::-1] for row in build_incidence_matrix(n).num), 1)
+
+
 def _certify_family(
-    n: int, gram: RationalMatrix, lam: Fraction, vectors: Sequence[SparseVector]
+    n: int, kneser: RationalMatrix, mu: Fraction, vectors: Sequence[SparseVector]
 ) -> EigenvalueWitness:
-    """A lower bound on the multiplicity of lam: the family's size, once every
-    vector is an exact eigenvector and the family has full rank."""
-    size = gram.nrows
+    """A lower bound on the multiplicity of mu: the family's size, once every
+    vector is an exact eigenvector of K and the family has full rank."""
+    size = kneser.nrows
     rows = [[0] * size for _ in vectors]
     for row, x in zip(rows, vectors):
         for j, c in x:
             row[j] = c
     family = RationalMatrix._from_ints(rows, 1)
-    # G is symmetric, so F G = lam F says that every row of F is an eigenvector.
-    image, expected = family @ gram, family.scaled(lam)
+    # K is symmetric, so F K = mu F says that every row of F is an eigenvector.
+    image, expected = family @ kneser, family.scaled(mu)
     if image != expected:
         i, _ = _first_entry(image, expected)
         raise IntegrityError(
-            f"basis vector {i} is not an eigenvector for {format_rational(lam)} at n={n}"
+            f"basis vector {i} is not an eigenvector of K for {format_rational(mu)} at n={n}"
         )
     rk = rank(family)
     if rk != len(vectors):
         raise IntegrityError(
-            f"eigenvectors for {format_rational(lam)} are dependent at n={n}: "
+            f"eigenvectors of K for {format_rational(mu)} are dependent at n={n}: "
             f"rank {rk} of {len(vectors)}"
         )
-    return EigenvalueWitness(lam, rk, size - rk)
+    return EigenvalueWitness(mu, rk, size - rk)
+
+
+@one_slot_memo
+def kneser_spectrum(n: int) -> tuple[tuple[EigenvalueWitness, ...], Fraction]:
+    """The certified spectrum of K = M R, one witness per distinct eigenvalue
+    mu in `eigenbasis` order, and the signed det M that it proves:
+    (-1)^floor(N/2) prod mu^m, as reversing N columns takes floor(N/2)
+    transpositions. That value must agree mod p with one elimination of M.
+    A rejection is remembered like a result."""
+    families = eigenbasis(n)  # raises ValueError below n = 3
+    kneser = kneser_matrix(n)
+    if not kneser.is_symmetric():
+        where = _first_deviation(kneser, kneser.transpose())
+        raise IntegrityError(f"K = M R is not symmetric at n={n}: {where}")
+    # One group per distinct mu; each bounds its multiplicity from below, and
+    # eigenvectors of distinct eigenvalues are independent, so bounds that
+    # sum to the size are exact.
+    groups: dict[Fraction, list[SparseVector]] = {}
+    for mu, vectors in families:
+        groups.setdefault(mu, []).extend(vectors)
+    witnesses = tuple(_certify_family(n, kneser, mu, vectors) for mu, vectors in groups.items())
+    size, total = kneser.nrows, sum(w.multiplicity for w in witnesses)
+    if total != size:
+        raise IntegrityError(f"multiplicities of K sum to {total}, not {size}, at n={n}")
+    det_m = (-1) ** (size // 2) * prod(w.value**w.multiplicity for w in witnesses)
+    by_elimination, by_spectrum = det_mod_p(build_incidence_matrix(n).num), det_m % _PRIME
+    if by_elimination != by_spectrum:
+        raise IntegrityError(
+            f"det M mod {_PRIME} is {by_elimination} by elimination but "
+            f"{format_rational(by_spectrum)} from the spectrum of K at n={n}"
+        )
+    return witnesses, det_m
+
+
+def det_incidence(n: int) -> Fraction:
+    """Exact signed determinant of the incidence matrix, as the spectrum of
+    K proves it (kneser_spectrum)."""
+    return kneser_spectrum(n)[1]
 
 
 def _audit_claims(
@@ -343,39 +387,24 @@ def _audit_claims(
 def full_spectrum(n: int) -> SpectrumCertificate:
     """Complete certified spectrum of the Gram matrix for n >= 3.
 
-    The eigenvector families of `eigenbasis`, grouped by eigenvalue, are the
-    candidates; each multiplicity is the size of a group that is verified
-    exactly and proved independent, and its rank witness is the dimension
-    minus it. The certificate is rejected unless the multiplicities sum to
-    the dimension and the trace and determinant identities close; a rejection
-    is remembered like a result.
+    G = M M^T (build_gram proves it) and K = M R is symmetric, so G = K^2:
+    each certified eigenvalue mu of K (kneser_spectrum) gives lam = mu^2,
+    with the multiplicities of mu and -mu added, and the rank witness is the
+    dimension minus the multiplicity. The certificate is rejected unless the
+    trace of G is sum lam m; a rejection is remembered like a result.
     """
     gram = build_gram(n)
-    # One group per distinct eigenvalue (at n = 3 the three families form one).
-    # Each bounds its multiplicity from below; eigenvectors of distinct
-    # eigenvalues are independent, so bounds that sum to the size are exact.
-    groups: dict[Fraction, list[SparseVector]] = {}
-    for lam, vectors in eigenbasis(n):
-        groups.setdefault(lam, []).extend(vectors)
-    witnesses = [_certify_family(n, gram, lam, vectors) for lam, vectors in groups.items()]
-    size, total = gram.nrows, sum(w.multiplicity for w in witnesses)
-    if total != size:
-        raise IntegrityError(f"multiplicities sum to {total}, not {size}, at n={n}")
+    kneser, det_m = kneser_spectrum(n)
+    multiplicity: dict[Fraction, int] = {}
+    for w in kneser:
+        multiplicity[w.value**2] = multiplicity.get(w.value**2, 0) + w.multiplicity
+    size = gram.nrows
+    witnesses = [EigenvalueWitness(lam, m, size - m) for lam, m in multiplicity.items()]
     trace, expected = sum(w.value * w.multiplicity for w in witnesses), gram.trace()
     if trace != expected:
         raise IntegrityError(
             f"trace identity failed at n={n}: "
             f"{format_rational(trace)} != {format_rational(expected)}"
-        )
-    # G = M M^T (build_gram proves it), so det G = (det M)^2.
-    prod = Fraction(1)
-    for w in witnesses:
-        prod *= w.value**w.multiplicity
-    det_m = det_incidence(n)
-    if prod != det_m * det_m:
-        raise IntegrityError(
-            f"eigenvalue product {format_rational(prod)} != (det M)^2 "
-            f"{format_rational(det_m * det_m)} at n={n}"
         )
     det_abs = abs(det_m)
     return SpectrumCertificate(

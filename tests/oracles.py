@@ -323,6 +323,14 @@ def gf_rank(num: Sequence[Sequence[int]]) -> int:
     return DomainMatrix(rows, (len(rows), len(rows[0])), field).rank()
 
 
+def gf_det(num: Sequence[Sequence[int]]) -> int:
+    """Determinant of square integer rows over GF(_PRIME), by sympy's
+    DomainMatrix, as a residue in 0..p-1."""
+    field = sympy.GF(_PRIME)
+    rows = [[field(x) for x in row] for row in num]
+    return int(DomainMatrix(rows, (len(rows), len(rows)), field).det()) % _PRIME
+
+
 def bareiss_rank(m: RationalMatrix) -> int:
     """Rank by Bareiss elimination alone, with no modular shortcut."""
     return _bareiss([list(row) for row in m.num])[0]

@@ -16,6 +16,7 @@ from facevol.linalg import (
     char_poly,
     det_adjugate,
     det_fraction_free,
+    det_mod_p,
     exact_sqrt,
     format_rational,
     parse_rational,
@@ -28,6 +29,7 @@ from oracles import (
     charpoly_by_cofactors,
     cofactor_det,
     evaluate_at_matrix,
+    gf_det,
     gf_rank,
     identity,
     matmul_by_definition,
@@ -290,6 +292,37 @@ class TestFullRankModP:
         lift = st.one_of(st.just(0), small, huge)
         num = [[x + data.draw(lift) * _PRIME for x in row] for row in base.num]
         assert _full_rank_mod_p(num) == (gf_rank(num) == min(nr, nc))
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=7),
+        st.data(),
+    )
+    def test_det_agrees_with_gf_p_det(self, side, inner, data):
+        """Square integer matrices, singular by construction when a product
+        through ``inner`` < ``side`` columns makes them, with entries that are
+        multiples of the prime or above 2^63. Their columns are permuted, so
+        that the pivot columns come out of order and their sign matters."""
+        small = st.integers(min_value=-3, max_value=3)
+        huge = st.integers(min_value=2**63, max_value=2**80).map(lambda x: x * (-1) ** x)
+        multiple = small.map(lambda k: k * _PRIME)
+
+        def draw(r, c, cells):
+            rows = st.lists(st.lists(cells, min_size=c, max_size=c), min_size=r, max_size=r)
+            return RationalMatrix(data.draw(rows))
+
+        if data.draw(st.booleans()):
+            base = draw(side, inner, small) @ draw(inner, side, small)
+        else:
+            base = draw(side, side, st.one_of(small, huge, multiple))
+        order = data.draw(st.permutations(range(side)))
+        lift = st.one_of(st.just(0), small, huge)
+        num = [[row[j] + data.draw(lift) * _PRIME for j in order] for row in base.num]
+        assert det_mod_p(num) == gf_det(num)
+
+    def test_det_of_a_transposition_is_minus_one(self):
+        assert det_mod_p([[0, 1], [1, 0]]) == _PRIME - 1
+        assert det_mod_p([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
 
 
 class TestEigenMultiplicity:

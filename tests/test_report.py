@@ -30,7 +30,15 @@ from facevol.jacobian import (
     jacobian_squared_map,
     scaled_jacobian_at_regular,
 )
-from facevol.linalg import RationalMatrix, char_poly, det_adjugate, det_fraction_free, rank
+from facevol.linalg import (
+    _PRIME,
+    RationalMatrix,
+    char_poly,
+    det_adjugate,
+    det_fraction_free,
+    det_mod_p,
+    rank,
+)
 from facevol.report import (
     CheckResult,
     parse_report,
@@ -65,10 +73,12 @@ def report_n4():
 
 
 GELFAND_CHECKS = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
-# The checks that read the divisor's proved spectrum, and those that read the
-# Gram spectrum certificate.
+# The checks that read the divisor's proved spectrum, those that read the
+# Gram spectrum certificate, and those that read the spectrum proof of K, the
+# determinant of M among them.
 DIVISOR_READERS = ("divisor_char_poly_divides", *GELFAND_CHECKS)
 SPECTRUM_READERS = ("divisor_char_poly_divides", "spectrum_certificate", *GELFAND_CHECKS)
+KNESER_READERS = (*SPECTRUM_READERS, "incidence_determinant")
 
 
 # Faults for single stages. Each returns every check it must fail, and the
@@ -241,17 +251,36 @@ def wrong_basis_vector(monkeypatch):
         return vectors
 
     _tampered_eigenbasis(monkeypatch, 1, tamper)
-    return SPECTRUM_READERS, "basis vector 2 is not an eigenvector for 9 at n=5"
+    return KNESER_READERS, "basis vector 2 is not an eigenvector of K for -3 at n=5"
 
 
 def dependent_family(monkeypatch):
     _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1] + vectors[:1])
-    return SPECTRUM_READERS, "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
+    return KNESER_READERS, "eigenvectors of K for 1 are dependent at n=5: rank 8 of 9"
 
 
 def short_count(monkeypatch):
     _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1])
-    return SPECTRUM_READERS, "multiplicities sum to 14, not 15, at n=5"
+    return KNESER_READERS, "multiplicities of K sum to 14, not 15, at n=5"
+
+
+def asymmetric_kneser(monkeypatch):
+    # Faces 0 and 1 miss the pairs {5, 6} and {4, 6}, which meet: K[0, 1] is
+    # 0, and it is read as 1 on one side only.
+    num = [list(row) for row in spectral_mod.kneser_matrix(5).num]
+    num[0][1] = 1
+    asymmetric = RationalMatrix._from_ints(num, 1)
+    monkeypatch.setattr(spectral_mod, "kneser_matrix", lambda n: asymmetric)
+    return KNESER_READERS, "K = M R is not symmetric at n=5: entry (0, 1) is 1, expected 0"
+
+
+def wrong_det_mod_p(monkeypatch):
+    # det M = (-1)^7 * 6 * (-3)^5 = 1458 at n = 5, read one too high mod p.
+    monkeypatch.setattr(spectral_mod, "det_mod_p", lambda num: (det_mod_p(num) + 1) % _PRIME)
+    return (
+        KNESER_READERS,
+        f"det M mod {_PRIME} is 1459 by elimination but 1458 from the spectrum of K at n=5",
+    )
 
 
 def wrong_incidence_degree(monkeypatch):
@@ -320,6 +349,8 @@ STAGE_FAULTS = [
     wrong_basis_vector,
     dependent_family,
     short_count,
+    asymmetric_kneser,
+    wrong_det_mod_p,
     repeated_divisor_eigenvalue,
     zero_divisor_eigenvector,
     zero_unit_eigenvector,
@@ -513,9 +544,9 @@ class TestPipeline:
 
     def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
         """A rank that under-reports the eigenvector family of eigenvalue 1
-        breaks the certificate, and every check that needs the spectrum fails
-        with its message. The rejection is remembered like a result: the five
-        checks share one attempt, three spectral ranks."""
+        of K breaks the proof, and every check that needs the spectrum or
+        det M fails with its message. The rejection is remembered like a
+        result: the six checks share one attempt, three spectral ranks."""
         unit_family = family_matrix(5, 2)
         calls = []
         monkeypatch.setattr(
@@ -523,8 +554,8 @@ class TestPipeline:
         )
         failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
         assert len(calls) == 3
-        message = "eigenvectors for 1 are dependent at n=5: rank 8 of 9"
-        assert failed == dict.fromkeys(SPECTRUM_READERS, message)
+        message = "eigenvectors of K for 1 are dependent at n=5: rank 8 of 9"
+        assert failed == dict.fromkeys(KNESER_READERS, message)
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
@@ -695,23 +726,25 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
-        """A cold full_spectrum takes one fraction-free elimination, det M:
-        the eigenvector groups are proved independent mod p, and det G is
+        """A cold full_spectrum takes one elimination, det M mod p, of side
+        N, and no fraction-free one: the eigenvector groups are proved
+        independent mod p, det M is read off the spectrum of K, and det G is
         never computed. It reads nothing of the divisor, at n = 3 too: not
         even the orbit partition behind the Gram entries it audits."""
         divisor = (
             divisor_quotient, check_equitable, divisor_matrix, divisor_eigenpairs, char_poly
         )
-        calls = record_calls(monkeypatch, (det_fraction_free, *divisor))
+        calls = record_calls(monkeypatch, (det_fraction_free, det_mod_p, *divisor))
         eliminated = []
         bareiss = linalg_mod._bareiss
         monkeypatch.setattr(
             linalg_mod, "_bareiss", lambda a: eliminated.append(len(a)) or bareiss(a)
         )
         full_spectrum(n)
-        assert calls[det_fraction_free] == [(build_incidence_matrix(n),)]
+        assert calls[det_mod_p] == [(build_incidence_matrix(n).num,)]
+        assert calls[det_fraction_free] == []
         assert all(calls[fn] == [] for fn in divisor)
-        assert eliminated == [build_gram(n).nrows]
+        assert eliminated == []
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_geometry_sanity_takes_one_determinant(self, monkeypatch, n):
@@ -1037,9 +1070,9 @@ class TestGolden:
     `python -m facevol --n-range 3:8 --seed 42 --samples 3 --output
     tests/golden` (and again with `--format markdown`). CI also compares
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
-    --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`,
-    `verify_n24.json` and `verify_n28.json`, written the same way with
-    `--n 20 --max-n 24`, `--n 24 --max-n 24` and `--n 28 --max-n 28`. The JSON array
+    --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`
+    through `verify_n48.json`, written the same way with `--n 20 --max-n 24`
+    and, for k = 24, 28, 32, 36, 40 and 48, `--n k --max-n k`. The JSON array
     `verify_n3-5.json` is the stdout of `python -m facevol --n-range 3:5
     --seed 42 --samples 3`."""
 

@@ -22,12 +22,14 @@ from facevol.spectral import (
     divisor_quotient,
     eigenbasis,
     full_spectrum,
+    kneser_matrix,
     spectrum_summary,
 )
 from facevol.subsets import build_incidence_matrix, subsets_colex
 
 from oracles import (
     bareiss_rank,
+    class_indicator,
     dense,
     identity,
     intersection_class,
@@ -251,26 +253,45 @@ class TestSpectrum:
             full_spectrum(2)
 
 
+def kneser_by_intersections(n):
+    """K by one set intersection per face pair: faces that meet in n-3
+    vertices miss disjoint vertex pairs."""
+    return class_indicator(n, n - 3)
+
+
+class TestKneser:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_reversed_incidence_is_the_kneser_graph(self, n):
+        k = kneser_matrix(n)
+        assert k == kneser_by_intersections(n)
+        assert k.is_symmetric()
+        assert k @ k == build_gram(n)
+
+
 class TestEigenbasis:
     @pytest.mark.parametrize("n", range(3, 13))
     def test_every_vector_is_an_eigenvector_of_its_family(self, n):
-        gram = build_gram(n)
+        """Each family lies in the eigenspace of K for its mu, and so in that
+        of G = K^2 for mu^2."""
+        kneser, gram = kneser_by_intersections(n), build_gram(n)
         size = gram.nrows
         families = eigenbasis(n)
-        assert [lam for lam, _ in families] == [comb(n - 1, 2) ** 2, (n - 2) ** 2, 1]
+        assert [mu for mu, _ in families] == [comb(n - 1, 2), 2 - n, 1]
         assert [len(vectors) for _, vectors in families] == [1, n, (n + 1) * (n - 2) // 2]
-        for lam, vectors in families:
+        for mu, vectors in families:
             rows = [dense(x, size) for x in vectors]
             for row in rows:
                 assert any(row)
-                assert mul_vector(gram, row) == tuple(lam * v for v in row)
+                assert mul_vector(kneser, row) == tuple(mu * v for v in row)
+                assert mul_vector(gram, row) == tuple(mu**2 * v for v in row)
             assert bareiss_rank(RationalMatrix(rows)) == len(rows)
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_family_sizes_are_the_nullities(self, n):
-        gram = build_gram(n)
-        for lam, vectors in eigenbasis(n):
-            assert len(vectors) == gram.nrows - bareiss_rank(shifted(gram, lam))
+        kneser, gram = kneser_by_intersections(n), build_gram(n)
+        for mu, vectors in eigenbasis(n):
+            assert len(vectors) == kneser.nrows - bareiss_rank(shifted(kneser, mu))
+            assert len(vectors) == gram.nrows - bareiss_rank(shifted(gram, mu**2))
 
     def test_n4_four_cycles(self):
         faces = subsets_colex(5, 3)
@@ -328,6 +349,14 @@ class TestDeterminant:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_square_matches_gram_det(self, n):
         assert det_incidence(n) ** 2 == det_fraction_free(build_gram(n))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_signed_value_matches_bareiss_and_closed_form(self, n):
+        """det M = (-1)^floor(N/2) det K, with det K = prod mu^m."""
+        size = comb(n + 1, 2)
+        det = det_incidence(n)
+        assert det == det_fraction_free(build_incidence_matrix(n))
+        assert det == (-1) ** (size // 2) * comb(n - 1, 2) * (2 - n) ** n
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_certified_closed_form(self, n):
