@@ -74,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    lo_s, sep, hi_s = text.partition(":")
-    if not sep:
-        raise ValueError(f"range must look like A:B, got {text!r}")
-    lo, hi = int(lo_s), int(hi_s)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ValueError(f"range must look like A:B, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return tuple(range(lo, hi + 1))

@@ -1,3 +1,4 @@
+import inspect
 from functools import wraps
 from typing import Callable, TypeVar
 
@@ -13,11 +14,14 @@ class IntegrityError(RuntimeError):
 def one_slot_memo(fn: Callable[..., T]) -> Callable[..., T]:
     """Remember the last call: the same arguments again return its result, or
     raise its exception again with its original traceback, without running
-    ``fn``. ``cache_clear`` forgets the call."""
+    ``fn``. Keywords are bound to positions first, so ``f(n=4)`` is ``f(4)``.
+    ``cache_clear`` forgets the call."""
     slot: list = []  # the arguments, the result or exception, its traceback or None
 
     @wraps(fn)
-    def memo(*args):
+    def memo(*args, **kwargs):
+        if kwargs:
+            args = inspect.signature(fn).bind(*args, **kwargs).args
         if not slot or slot[0] != args:
             try:
                 slot[:] = args, fn(*args), None

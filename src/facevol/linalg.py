@@ -9,20 +9,17 @@ exact; there is no floating-point code path in this module.
 - products multiply the integer rows and the denominators, in numpy int64
   when a bound on the entries proves that no sum can overflow, and in Python
   integers otherwise;
-- determinants and ranks use one-step Bareiss fraction-free elimination on the
-  integer rows, so intermediate values stay integer minors of bounded size
-  instead of rationals with growing gcd cost;
+- determinants, ranks and adjugates read one fraction-free Gauss-Jordan
+  elimination of the integer rows (Bareiss), whose values stay integer
+  minors, not rationals with growing gcd cost: a determinant is its last
+  pivot, a rank its pivot count, an adjugate the right block of ``[num | I]``;
 - a rank first tries a one-directional proof mod the prime p = 8388593: if
   the integer rows have full rank mod p, some minor of that size is nonzero
   mod p, hence nonzero over the integers, so the rank over the rationals is
-  full too. Anything less proves nothing, so the rank then comes from
-  Bareiss elimination;
+  full too. Anything less proves nothing, and the rank is counted exactly;
 - the same elimination mod p, read for its pivots and their columns, gives
   a determinant mod p: the independent cross-check of the determinant of the
   incidence matrix, which the spectrum proves exactly;
-- the adjugate uses the fraction-free Gauss-Jordan form of the same
-  elimination on ``[num | I]`` with no pivot search, so its pivots are the
-  leading principal minors, which it returns too;
 - characteristic polynomials use the Faddeev-LeVerrier recurrence on ``num``
   and come back as a tuple of coefficients; the certification takes one of
   the 3x3 orbit divisor only, because the Gram spectrum is certified by
@@ -170,48 +167,52 @@ def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[lis
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int]:
-    """One-step Bareiss elimination of integer rows, in place, to row echelon
-    form; columns without a pivot are skipped. Returns the rank and the sign
-    of the row permutation. Every entry stays an integer minor of the input,
-    and for a nonsingular square input the last pivot is sign * det."""
-    nr, nc = len(a), len(a[0])
-    r, sign, prev = 0, 1, 1
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
+def _eliminate_fraction_free(
+    a: list[list[int]], k: int
+) -> tuple[list[int], list[tuple[int, int]], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, over
+    the first k columns. Step r takes the first row at or below r that is
+    nonzero in the next column, swaps it to place r, clears that column in
+    every other row and divides by the previous pivot, exactly (Bareiss
+    1968); a column with no such row is skipped. Returns the pivots, the
+    (row, column) where each was found, and the sign of the row swaps. Pivot
+    r is the leading (r+1)x(r+1) minor of the swapped rows on the pivot
+    columns, so a nonsingular square input ends with sign * det."""
+    pivots, found, sign, prev = [], [], 1, 1
+    for c in range(k):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = r if a[r][c] else next((i for i in range(r + 1, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        pivot = a[r][c]
-        tail = a[r][c + 1 :]
-        for i in range(r + 1, nr):
-            row = a[i]
+            a[r], a[piv], sign = a[piv], a[r], -sign
+        prow = a[r]
+        pivot = prow[c]
+        for i, row in enumerate(a):
+            if i == r:
+                continue
             f = row[c]
-            # Sylvester's identity guarantees these divisions are exact.
             if f:
-                rest = zip(row[c + 1 :], tail)
-                row[c:] = [0] + [(x * pivot - f * y) // prev for x, y in rest]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(row, prow)]
             elif pivot != prev:
-                row[c + 1 :] = [x * pivot // prev for x in row[c + 1 :]]
+                a[i] = [x * pivot // prev for x in row]
+        pivots.append(pivot)
+        found.append((piv, c))
         prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r, sign
+    return pivots, found, sign
 
 
 def det_fraction_free(m: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss one-step fraction-free elimination of
-    the integer rows; det(m) = det(num) / den^k."""
+    """Exact determinant by fraction-free elimination of the integer rows;
+    det(m) = det(num) / den^k."""
     if m.nrows != m.ncols:
         raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in m.num]
-    r, sign = _bareiss(a)
-    if r < m.nrows:
+    pivots, _, sign = _eliminate_fraction_free([list(row) for row in m.num], m.ncols)
+    if len(pivots) < m.nrows:
         return Fraction(0)
-    return Fraction(sign * a[-1][-1], m.den**m.nrows)
+    return Fraction(sign * pivots[-1], m.den**m.nrows)
 
 
 def _eliminate_mod_p(num: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -227,8 +228,9 @@ def _eliminate_mod_p(num: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     a = np.array([[x % _PRIME for x in row] for row in num], dtype=np.int64)
     pivots, cols = [], []
     for r in range(len(a)):
-        row = a[r] % _PRIME
-        nonzero = np.flatnonzero(row)
+        row = a[r]
+        row %= _PRIME
+        nonzero = row.nonzero()[0]
         if not nonzero.size:
             break
         c = int(nonzero[0])
@@ -259,14 +261,9 @@ def det_mod_p(num: Sequence[Sequence[int]]) -> int:
     pivots, cols = _eliminate_mod_p(num)
     if len(pivots) < len(num):
         return 0
-    # A permutation of k points with c cycles has the sign (-1)^(k - c).
-    cycles, seen = 0, [False] * len(cols)
-    for start in range(len(cols)):
-        if not seen[start]:
-            cycles, j = cycles + 1, start
-            while not seen[j]:
-                seen[j], j = True, cols[j]
-    det = (-1) ** (len(cols) - cycles)
+    # The sign of r -> c_r is the parity of its inversions: r < s, c_r > c_s.
+    order = np.array(cols)
+    det = (-1) ** int(np.triu(np.greater.outer(order, order), 1).sum())
     for pivot in pivots:
         det = det * pivot % _PRIME
     return det
@@ -275,44 +272,31 @@ def det_mod_p(num: Sequence[Sequence[int]]) -> int:
 def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals of the integer rows, which have the rank
     of m. Full rank mod _PRIME proves full rank over the rationals and is
-    returned at once; otherwise the rank comes from Bareiss elimination."""
+    returned at once; otherwise it is the number of pivots of the
+    fraction-free elimination."""
     if _full_rank_mod_p(m.num):
         return min(m.nrows, m.ncols)
-    return _bareiss([list(row) for row in m.num])[0]
+    return len(_eliminate_fraction_free([list(row) for row in m.num], m.ncols)[0])
 
 
 def det_adjugate(m: RationalMatrix) -> tuple[tuple[Fraction, ...], RationalMatrix]:
     """Leading principal minors and adjugate of a square matrix by
-    fraction-free Gauss-Jordan elimination on ``[num | I]``, with no pivot
-    search. Minor k is the determinant of the leading (k+1)x(k+1) block, so
-    the last one is det(m). Raises ValueError at the first zero minor.
-
-    Each step eliminates the pivot column above and below the pivot row and
-    divides by the previous pivot, exactly. The pivot of step c is the
-    leading (c+1)x(c+1) minor of num (Bareiss 1968), so the left block ends
-    as p*I and the right block as p*num^-1 = adj(num), with p = det(num)."""
+    fraction-free Gauss-Jordan elimination on ``[num | I]``. Minor k is the
+    determinant of the leading (k+1)x(k+1) block, so the last one is det(m).
+    Raises ValueError at the first zero minor: the first step whose pivot is
+    not at (c, c), as every step before it took row c unswapped. Otherwise
+    the pivots are the minors and the right block is adj(num)."""
     if m.nrows != m.ncols:
         raise ValueError("adjugate needs a square matrix")
     k = m.nrows
     aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.num)]
-    pivots = [1]  # the empty leading minor, then one per step
-    for c in range(k):
-        prow = aug[c]
-        pivot, prev = prow[c], pivots[-1]
-        if not pivot:
-            raise ValueError(f"leading principal minor {c} of {m!r} is zero")
-        for i in range(k):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if f:
-                aug[i] = [(x * pivot - f * y) // prev for x, y in zip(aug[i], prow)]
-            elif pivot != prev:
-                aug[i] = [x * pivot // prev for x in aug[i]]
-        pivots.append(pivot)
+    pivots, found, _ = _eliminate_fraction_free(aug, k)
+    c = next((s for s, at in enumerate(found) if at != (s, s)), len(found))
+    if c < k:
+        raise ValueError(f"leading principal minor {c} of {m!r} is zero")
     # m = num/d, so a leading minor of side j is that of num over d^j, and
     # adj(m) = adj(num) / d^(k-1).
-    minors = tuple(Fraction(p, m.den**j) for j, p in enumerate(pivots[1:], 1))
+    minors = tuple(Fraction(p, m.den**j) for j, p in enumerate(pivots, 1))
     return minors, RationalMatrix._from_ints((row[k:] for row in aug), m.den ** (k - 1))
 
 

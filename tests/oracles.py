@@ -35,7 +35,13 @@ from facevol.geometry import (
     cayley_menger_matrix,
     squared_volume,
 )
-from facevol.linalg import _PRIME, RationalMatrix, _bareiss, det_fraction_free, format_rational
+from facevol.linalg import (
+    _PRIME,
+    RationalMatrix,
+    _eliminate_fraction_free,
+    det_fraction_free,
+    format_rational,
+)
 from facevol.subsets import subsets_colex, validate_subset
 
 
@@ -332,8 +338,8 @@ def gf_det(num: Sequence[Sequence[int]]) -> int:
 
 
 def bareiss_rank(m: RationalMatrix) -> int:
-    """Rank by Bareiss elimination alone, with no modular shortcut."""
-    return _bareiss([list(row) for row in m.num])[0]
+    """Rank by fraction-free elimination alone, with no modular shortcut."""
+    return len(_eliminate_fraction_free([list(row) for row in m.num], m.ncols)[0])
 
 
 def _float_face_volume(sq: dict[tuple[int, int], float], face: Sequence[int]) -> float:

@@ -12,6 +12,7 @@ import facevol.linalg as linalg_mod
 from facevol.linalg import (
     _PRIME,
     RationalMatrix,
+    _eliminate_fraction_free,
     _full_rank_mod_p,
     char_poly,
     det_adjugate,
@@ -39,6 +40,7 @@ from oracles import (
     rationals,
     shifted,
     square_matrices,
+    sympy_det,
     sympy_rank,
 )
 
@@ -99,6 +101,29 @@ def rational_matrices(nrows, ncols):
     return entry_rows(nrows, ncols).map(RationalMatrix)
 
 
+# Integer and rational entries, entries above 2^64 and multiples of the prime,
+# and zeros often enough that pivots are searched for.
+WIDE_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(min_value=-2, max_value=2),
+    rationals(),
+    st.integers(min_value=2**64, max_value=2**80).map(lambda x: x * (-1) ** x),
+    st.integers(min_value=-3, max_value=3).map(lambda k: k * _PRIME),
+)
+
+
+def planted_rank(data, nr, inner, nc):
+    """An nr x nc matrix of WIDE_ENTRIES, or half the time a product through
+    ``inner`` columns, which caps its rank, so deficient matrices come up."""
+
+    def draw(r, c):
+        return RationalMatrix(data.draw(entry_rows(r, c, WIDE_ENTRIES)))
+
+    if data.draw(st.booleans()):
+        return draw(nr, inner) @ draw(inner, nc)
+    return draw(nr, nc)
+
+
 def leading_minors(m):
     """The leading principal minors of m, each by cofactor expansion."""
     return tuple(cofactor_det([list(r[: k + 1]) for r in m.rows[: k + 1]]) for k in range(m.nrows))
@@ -130,11 +155,17 @@ class TestAdjugate:
             det_adjugate(singular)
 
     @pytest.mark.parametrize(
-        "rows, k", [([[0, 1], [1, 0]], 0), ([[1, 2, 3], [2, 4, 5], [1, 0, 1]], 1)]
+        "rows, k",
+        [
+            ([[0, 1], [1, 0]], 0),
+            ([[1, 2, 3], [2, 4, 5], [1, 0, 1]], 1),
+            ([[-1, 0, 0, 1], [2, 0, 0, 0], [-1, 1, 2, 0], [0, 1, 0, -1]], 1),
+        ],
     )
     def test_zero_leading_minor_rejected(self, rows, k):
-        """There is no pivot search: a zero leading minor raises even when the
-        matrix itself is nonsingular."""
+        """A zero leading minor raises even when the matrix itself is
+        nonsingular: the last case swaps rows twice, so it ends with sign +1
+        and a full set of pivots."""
         m = RationalMatrix(rows)
         minors = leading_minors(m)
         assert minors[k] == 0 and minors[-1] != 0
@@ -144,6 +175,44 @@ class TestAdjugate:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             det_adjugate(RationalMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+class TestFractionFreeElimination:
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=5),
+        st.data(),
+    )
+    def test_agrees_with_sympy(self, nr, inner, nc, data):
+        """The pivot count is the rank; on a square matrix sign times the last
+        pivot is the determinant, and on a nonsingular one sign times the
+        right block of ``[num | I]`` is the adjugate, each as sympy has it."""
+        if data.draw(st.booleans()):
+            nc = nr
+        m = planted_rank(data, nr, inner, nc)
+        expected = sympy.Matrix(m.num)
+        pivots, found, sign = _eliminate_fraction_free([list(row) for row in m.num], nc)
+        assert len(pivots) == len(found) == expected.rank()
+        if nr != nc:
+            return
+        det = sign * pivots[-1] if len(pivots) == nr else 0
+        assert det == expected.det()
+        assert det_fraction_free(m) == sympy_det(m)
+        if det:
+            aug = [list(row) + [int(i == j) for j in range(nc)] for i, row in enumerate(m.num)]
+            sign = _eliminate_fraction_free(aug, nc)[2]
+            adj = sympy.Matrix([[sign * x for x in row[nc:]] for row in aug])
+            assert adj == expected.adjugate()
+
+    def test_where_the_pivots_were_found(self):
+        """Leading minors -1, 0, 0, 4: the pivots of steps 1 and 2 come from
+        rows below, two swaps in all, and column 3 pivots in place."""
+        a = [[-1, 0, 0, 1], [2, 0, 0, 0], [-1, 1, 2, 0], [0, 1, 0, -1]]
+        pivots, found, sign = _eliminate_fraction_free(a, 4)
+        assert found == [(0, 0), (2, 1), (3, 2), (3, 3)]
+        assert (pivots[-1], sign) == (4, 1)
+        assert a == [[4 * (i == j) for j in range(4)] for i in range(4)]
 
 
 class TestCharPoly:
@@ -225,23 +294,9 @@ class TestRank:
         st.data(),
     )
     def test_agrees_with_bareiss_only(self, nr, inner, nc, data):
-        """Integer and rational entries, entries above 2^64 and multiples of
-        the prime; a product through ``inner`` columns caps the rank, so
-        deficient matrices take the fallback."""
-        entries = st.one_of(
-            st.integers(min_value=-2, max_value=2),
-            rationals(),
-            st.integers(min_value=2**64, max_value=2**80).map(lambda x: x * (-1) ** x),
-            st.integers(min_value=-3, max_value=3).map(lambda k: k * _PRIME),
-        )
-
-        def draw(r, c):
-            rows = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
-            return RationalMatrix(data.draw(rows))
-
-        m = draw(nr, nc)
-        if data.draw(st.booleans()):
-            m = draw(nr, inner) @ draw(inner, nc)
+        """Wide entries, of planted rank half the time, so deficient matrices
+        take the fallback."""
+        m = planted_rank(data, nr, inner, nc)
         assert rank(m) == bareiss_rank(m)
 
     @pytest.mark.parametrize(

@@ -699,8 +699,8 @@ class TestComputeOnce:
 
     def test_full_rank_jacobians_skip_bareiss(self, monkeypatch):
         """Every Jacobian rank, regular and sampled, forward and reversed, is
-        proved mod p: no Bareiss elimination runs inside one, while it still
-        runs for the determinants."""
+        proved mod p: no fraction-free elimination runs inside one, while it
+        still runs for the determinants."""
         jacobians, open_ranks, leaked, eliminated = [], [], [], []
 
         def jacobian_rank(m):
@@ -710,19 +710,19 @@ class TestComputeOnce:
             open_ranks.pop()
             return r
 
-        def recorded_bareiss(a):
+        def recorded_elimination(a, k):
             eliminated.append(len(a))
             leaked.extend(open_ranks)
-            return bareiss(a)
+            return eliminate(a, k)
 
-        bareiss = linalg_mod._bareiss
+        eliminate = linalg_mod._eliminate_fraction_free
         monkeypatch.setattr(jacobian_mod, "rank", jacobian_rank)
-        monkeypatch.setattr(linalg_mod, "_bareiss", recorded_bareiss)
+        monkeypatch.setattr(linalg_mod, "_eliminate_fraction_free", recorded_elimination)
         verify_single(7, samples=2, seed=3)
         assert [(m.nrows, m.ncols) for m in jacobians] == [(28, 28)] * 6
         assert all(m.den != 1 for m in jacobians)
         assert eliminated
-        assert not leaked, f"{len(leaked)} Jacobian ranks fell back to Bareiss"
+        assert not leaked, f"{len(leaked)} Jacobian ranks fell back to elimination"
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
@@ -736,9 +736,11 @@ class TestComputeOnce:
         )
         calls = record_calls(monkeypatch, (det_fraction_free, det_mod_p, *divisor))
         eliminated = []
-        bareiss = linalg_mod._bareiss
+        eliminate = linalg_mod._eliminate_fraction_free
         monkeypatch.setattr(
-            linalg_mod, "_bareiss", lambda a: eliminated.append(len(a)) or bareiss(a)
+            linalg_mod,
+            "_eliminate_fraction_free",
+            lambda a, k: eliminated.append(len(a)) or eliminate(a, k),
         )
         full_spectrum(n)
         assert calls[det_mod_p] == [(build_incidence_matrix(n).num,)]
@@ -786,6 +788,12 @@ class TestComputeOnce:
         m = build_incidence_matrix(6)
         side_21 = [(a, b) for a, b in products if a.nrows == 21 and b.ncols == 21]
         assert side_21 == [(m, m.transpose())]
+
+    def test_keyword_call_shares_the_memo_slot(self, monkeypatch):
+        """full_spectrum(n=4) and full_spectrum(4) are one call, run once."""
+        calls = record_calls(monkeypatch, (det_mod_p,))
+        assert full_spectrum(n=4) is full_spectrum(4)
+        assert len(calls[det_mod_p]) == 1
 
     def test_failed_divisor_proof_runs_once(self, monkeypatch):
         """A divisor proof that fails is remembered like a result: the four
@@ -1126,6 +1134,12 @@ class TestCli:
             pytest.param("--n 2", "all dimensions must be >= 3", id="small_n"),
             pytest.param("--n-range 2:4", "all dimensions must be >= 3", id="small_range"),
             pytest.param("--n-range 6:4", "empty range '6:4'", id="empty_range"),
+            pytest.param("--n-range 3:", "range must look like A:B, got '3:'", id="open_end"),
+            pytest.param("--n-range :4", "range must look like A:B, got ':4'", id="open_start"),
+            pytest.param("--n-range a:b", "range must look like A:B, got 'a:b'", id="letters"),
+            pytest.param(
+                "--n-range 3:4:5", "range must look like A:B, got '3:4:5'", id="two_colons"
+            ),
             pytest.param("--n 17", "dimension exceeds the guard (16)", id="guard"),
             pytest.param("--n 6 --max-n 5", "dimension exceeds the guard (5)", id="max_n"),
             pytest.param("--samples -1", "samples must be >= 0", id="samples"),
