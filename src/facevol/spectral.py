@@ -4,16 +4,15 @@
 Face i misses edge N-1-i, so K = M R, the incidence matrix M with its columns
 reversed, is the adjacency matrix of the Kneser graph KG(n+1, 2); it is
 proved symmetric, and then G = M M^T = K K^T = K^2. K lies in the
-Bose-Mesner algebra of the Johnson scheme J(n+1, 2), and each of its three
-eigenspaces has an explicit integer spanning set, with eigenvalues C(n-1,2),
--(n-2) and 1 (Delsarte 1973; Lovasz 1979; Godsil & Royle, *Algebraic Graph
-Theory*, ch. 7). The families are grouped by eigenvalue mu of K (at n = 3 the
-first and last both belong to 1); every vector is checked to be an exact
-eigenvector, and each group is proved independent by one full-rank `rank`,
-which gives a lower bound on each multiplicity. Eigenvectors of distinct
-eigenvalues are independent, so lower bounds that sum to the dimension are
-exact: K is diagonalizable, det K = prod mu^m, and G has the eigenvalues
-lam = mu^2, the groups of mu and -mu merged. The trace of G is compared with
+Bose-Mesner algebra of the Johnson scheme J(n+1, 2), whose three eigenspaces
+have the eigenvalues C(n-1,2), -(n-2) and 1 (Delsarte 1973; Lovasz 1979;
+Godsil & Royle, *Algebraic Graph Theory*, ch. 7). The first two have
+explicit integer spanning sets: every vector is checked to be an exact
+eigenvector, and each family is proved independent by one full-rank `rank`,
+which bounds its multiplicity from below. The traces of K and K^2 then force
+each of the other N-1-n eigenvalues of the symmetric K to be 1, so the
+multiplicities are exact: det K = prod mu^m, and G has the eigenvalues
+lam = mu^2, those of mu and -mu merged. The trace of G is compared with
 sum mu^2 m, and det M = (-1)^floor(N/2) det K with det M mod p from one
 elimination of M (linalg.det_mod_p). The divisor's eigenvalues are proved by
 char D alone: they are distinct and char D = prod (x - lam), so char D divides
@@ -240,21 +239,15 @@ SparseVector = tuple[tuple[int, int], ...]
 
 
 def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
-    """Explicit integer eigenvector families of K = M R, as (eigenvalue mu,
-    vectors): one spanning set per eigenspace of the Johnson scheme
-    J(n+1, 2). The Gram eigenvalues mu^2 descend in this order from n = 4.
+    """The explicit integer eigenvector families of K = M R, as (eigenvalue
+    mu, vectors), on two of the three eigenspaces of the Johnson scheme
+    J(n+1, 2); the third, of eigenvalue 1, is proved by traces
+    (kneser_spectrum).
 
     A face is the complement of a vertex pair {s, t} of 1..m, m = n + 1, and
     a vector takes its value on the face from that pair:
     - C(n-1,2): the all-ones vector;
-    - -(n-2): for a = 1..n, x({s,t}) = g(s) + g(t) with g = e_a - e_m;
-    - 1: signed 4-cycles a-b-c-d, +1 on the pairs ab and cd and -1 on bc and
-      da, for the cycles 1-c-d-2 (3 <= c < d <= m) and 1-3-2-c (4 <= c <= m).
-      They lie in the kernel of the unsigned vertex-pair incidence matrix of
-      K_m, which has dimension C(m,2) - m (Godsil & Royle, *Algebraic Graph
-      Theory* ch. 8).
-    The family sizes are 1, n and (n+1)(n-2)/2, which sum to C(n+1,2). At
-    n = 3 the eigenvalues are 1, -1 and 1.
+    - -(n-2): for a = 1..n, x({s,t}) = g(s) + g(t) with g = e_a - e_m.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -262,23 +255,12 @@ def eigenbasis(n: int) -> tuple[tuple[Fraction, tuple[SparseVector, ...]], ...]:
     face = {}
     for i, (s, t) in enumerate(missed_pairs(n)):
         face[s, t] = face[t, s] = i
-
-    def cycle(a: int, b: int, c: int, d: int) -> SparseVector:
-        return ((face[a, b], 1), (face[c, d], 1), (face[b, c], -1), (face[d, a], -1))
-
     ones = (tuple((i, 1) for i in range(comb(m, 2))),)
     stars = tuple(
         tuple(p for s in range(1, m) if s != a for p in ((face[a, s], 1), (face[s, m], -1)))
         for a in range(1, m)
     )
-    cycles = tuple(
-        cycle(1, c, d, 2) for c in range(3, m + 1) for d in range(c + 1, m + 1)
-    ) + tuple(cycle(1, 3, 2, c) for c in range(4, m + 1))
-    return (
-        (Fraction(comb(n - 1, 2)), ones),
-        (Fraction(2 - n), stars),
-        (Fraction(1), cycles),
-    )
+    return ((Fraction(comb(n - 1, 2)), ones), (Fraction(2 - n), stars))
 
 
 def kneser_matrix(n: int) -> RationalMatrix:
@@ -290,11 +272,10 @@ def kneser_matrix(n: int) -> RationalMatrix:
 
 def _certify_family(
     n: int, kneser: RationalMatrix, mu: Fraction, vectors: Sequence[SparseVector]
-) -> EigenvalueWitness:
-    """A lower bound on the multiplicity of mu: the family's size, once every
-    vector is an exact eigenvector of K and the family has full rank."""
-    size = kneser.nrows
-    rows = [[0] * size for _ in vectors]
+) -> None:
+    """Proves that mu has multiplicity at least len(vectors) in K: every
+    vector is an exact eigenvector, and the family has full rank."""
+    rows = [[0] * kneser.nrows for _ in vectors]
     for row, x in zip(rows, vectors):
         for j, c in x:
             row[j] = c
@@ -312,32 +293,47 @@ def _certify_family(
             f"eigenvectors of K for {format_rational(mu)} are dependent at n={n}: "
             f"rank {rk} of {len(vectors)}"
         )
-    return EigenvalueWitness(mu, rk, size - rk)
 
 
 @one_slot_memo
 def kneser_spectrum(n: int) -> tuple[tuple[EigenvalueWitness, ...], Fraction]:
     """The certified spectrum of K = M R, one witness per distinct eigenvalue
-    mu in `eigenbasis` order, and the signed det M that it proves:
-    (-1)^floor(N/2) prod mu^m, as reversing N columns takes floor(N/2)
-    transpositions. That value must agree mod p with one elimination of M.
-    A rejection is remembered like a result."""
+    mu: C(n-1,2), -(n-2), then 1 (at n = 3 the first is 1 too, and the two
+    merge), and the signed det M that it proves: (-1)^floor(N/2) prod mu^m,
+    as reversing N columns takes floor(N/2) transpositions. That value must
+    agree mod p with one elimination of M. A rejection is remembered like a
+    result.
+
+    K is symmetric, so it has N real eigenvalues with an orthogonal
+    eigenbasis. The `eigenbasis` families, of the distinct eigenvalues
+    C(n-1,2) > 0 > -(n-2), account for 1 + n of them; the other R = N-1-n
+    eigenvalues nu sum to tr K minus the families' mu, and their squares to
+    tr K^2 = sum of K[i, j]^2 minus the families' mu^2. Both sums are R
+    exactly when sum (nu - 1)^2 = 0, that is, when every nu is 1
+    (Brouwer & Haemers, *Spectra of Graphs*, ch. 1).
+    """
     families = eigenbasis(n)  # raises ValueError below n = 3
     kneser = kneser_matrix(n)
     if not kneser.is_symmetric():
         where = _first_deviation(kneser, kneser.transpose())
         raise IntegrityError(f"K = M R is not symmetric at n={n}: {where}")
-    # One group per distinct mu; each bounds its multiplicity from below, and
-    # eigenvectors of distinct eigenvalues are independent, so bounds that
-    # sum to the size are exact.
-    groups: dict[Fraction, list[SparseVector]] = {}
     for mu, vectors in families:
-        groups.setdefault(mu, []).extend(vectors)
-    witnesses = tuple(_certify_family(n, kneser, mu, vectors) for mu, vectors in groups.items())
-    size, total = kneser.nrows, sum(w.multiplicity for w in witnesses)
-    if total != size:
-        raise IntegrityError(f"multiplicities of K sum to {total}, not {size}, at n={n}")
-    det_m = (-1) ** (size // 2) * prod(w.value**w.multiplicity for w in witnesses)
+        _certify_family(n, kneser, mu, vectors)
+    size = kneser.nrows
+    rest = size - sum(len(vectors) for _, vectors in families)
+    total = kneser.trace() - sum(mu * len(vectors) for mu, vectors in families)
+    squares = Fraction(sum(x * x for row in kneser.num for x in row), kneser.den**2) - sum(
+        mu**2 * len(vectors) for mu, vectors in families
+    )
+    if total != rest or squares != rest:
+        raise IntegrityError(
+            f"the other {rest} eigenvalues of K are not all 1 at n={n}: they sum to "
+            f"{format_rational(total)} and their squares to {format_rational(squares)}"
+        )
+    multiplicity = {mu: len(vectors) for mu, vectors in families}
+    multiplicity[Fraction(1)] = multiplicity.get(Fraction(1), 0) + rest
+    witnesses = tuple(EigenvalueWitness(mu, m, size - m) for mu, m in multiplicity.items())
+    det_m = (-1) ** (size // 2) * prod(mu**m for mu, m in multiplicity.items())
     by_elimination, by_spectrum = det_mod_p(build_incidence_matrix(n).num), det_m % _PRIME
     if by_elimination != by_spectrum:
         raise IntegrityError(

@@ -7,7 +7,8 @@ exact difference quotients, one cofactor determinant per Jacobian entry,
 one pivoting adjugate per face's Cayley-Menger matrix, one Bareiss
 determinant per codim-2 face volume, the nondegeneracy chain of
 exact squared volumes, the closed-form colex rank, stabilizer orbits and
-class indicators by set intersections,
+class indicators by set intersections, the signed 4-cycles that span the
+Kneser matrix's eigenspace for 1,
 report JSON through ``json.dumps``) and then compared against both the
 frozen literal and the library implementation.
 """
@@ -105,6 +106,28 @@ def class_indicator(n: int, size: int) -> RationalMatrix:
     faces = list(combinations(range(1, n + 2), n - 1))
     faces.sort(key=lambda f: rank_subset(n + 1, f))
     return RationalMatrix([[int(intersection_class(f, g) == size) for g in faces] for f in faces])
+
+
+def unit_eigenvectors(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Signed 4-cycles a-b-c-d of the complete graph on 1..m, m = n + 1, as
+    sparse vectors over the codim-2 faces in colex order: +1 on the faces
+    that miss the pairs ab and cd, -1 on those that miss bc and da. The
+    cycles 1-c-d-2 (3 <= c < d <= m) and 1-3-2-c (4 <= c <= m), C(m,2) - m
+    of them, span the kernel of the unsigned vertex-pair incidence matrix of
+    K_m (Godsil & Royle, *Algebraic Graph Theory* ch. 8), which is the
+    eigenspace of the Kneser matrix K for the eigenvalue 1."""
+    m = n + 1
+    face = {}
+    for i, f in enumerate(subsets_colex(m, n - 1)):
+        s, t = sorted(set(range(1, m + 1)) - set(f))
+        face[s, t] = face[t, s] = i
+
+    def cycle(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int], ...]:
+        return ((face[a, b], 1), (face[c, d], 1), (face[b, c], -1), (face[d, a], -1))
+
+    return tuple(
+        cycle(1, c, d, 2) for c in range(3, m + 1) for d in range(c + 1, m + 1)
+    ) + tuple(cycle(1, 3, 2, c) for c in range(4, m + 1))
 
 
 def level_set(table: Sequence[Sequence[int]], k: int) -> sympy.Matrix:

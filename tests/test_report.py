@@ -55,6 +55,7 @@ from facevol.spectral import (
     divisor_quotient,
     divisor_spectrum,
     full_spectrum,
+    kneser_matrix,
 )
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
@@ -63,6 +64,7 @@ from oracles import (
     level_set,
     serialize_report_by_json_dumps,
     serialize_reports_by_json_dumps,
+    unit_eigenvectors,
     with_squared,
 )
 
@@ -231,7 +233,7 @@ def wrong_lifted_eigenvector(monkeypatch):
 
 
 def family_matrix(n, which):
-    """The dense integer rows of one eigenvector family of the Gram matrix."""
+    """The dense integer rows of one eigenvector family of K."""
     size = build_gram(n).nrows
     return RationalMatrix([dense(x, size) for x in spectral_mod.eigenbasis(n)[which][1]])
 
@@ -255,13 +257,31 @@ def wrong_basis_vector(monkeypatch):
 
 
 def dependent_family(monkeypatch):
-    _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1] + vectors[:1])
-    return KNESER_READERS, "eigenvectors of K for 1 are dependent at n=5: rank 8 of 9"
+    _tampered_eigenbasis(monkeypatch, 1, lambda vectors: vectors[:-1] + vectors[:1])
+    return KNESER_READERS, "eigenvectors of K for -3 are dependent at n=5: rank 4 of 5"
 
 
 def short_count(monkeypatch):
-    _tampered_eigenbasis(monkeypatch, 2, lambda vectors: vectors[:-1])
-    return KNESER_READERS, "multiplicities of K sum to 14, not 15, at n=5"
+    # Four stars leave the fifth eigenvalue -3 among the ten the traces see.
+    _tampered_eigenbasis(monkeypatch, 1, lambda vectors: vectors[:-1])
+    return (
+        KNESER_READERS,
+        "the other 10 eigenvalues of K are not all 1 at n=5: they sum to 6 and their squares to 18",
+    )
+
+
+def rank_one_cycle_bump(monkeypatch):
+    # K + c c^T for the 4-cycle c = 1-3-4-2 stays symmetric, with the ones
+    # vector and the stars as exact eigenvectors, but c now has the
+    # eigenvalue 1 + |c|^2 = 5.
+    c = dense(unit_eigenvectors(5)[0], 15)
+    num = [[k + x * y for k, y in zip(row, c)] for row, x in zip(kneser_matrix(5).num, c)]
+    bumped = RationalMatrix._from_ints(num, 1)
+    monkeypatch.setattr(spectral_mod, "kneser_matrix", lambda n: bumped)
+    return (
+        KNESER_READERS,
+        "the other 9 eigenvalues of K are not all 1 at n=5: they sum to 13 and their squares to 33",
+    )
 
 
 def asymmetric_kneser(monkeypatch):
@@ -349,6 +369,7 @@ STAGE_FAULTS = [
     wrong_basis_vector,
     dependent_family,
     short_count,
+    rank_one_cycle_bump,
     asymmetric_kneser,
     wrong_det_mod_p,
     repeated_divisor_eigenvalue,
@@ -543,18 +564,19 @@ class TestPipeline:
         assert failed == {name for name, _, _ in report_mod.CHECKS}
 
     def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
-        """A rank that under-reports the eigenvector family of eigenvalue 1
-        of K breaks the proof, and every check that needs the spectrum or
-        det M fails with its message. The rejection is remembered like a
-        result: the six checks share one attempt, three spectral ranks."""
-        unit_family = family_matrix(5, 2)
+        """A rank that under-reports the stars, the eigenvector family of
+        eigenvalue -3 of K, breaks the proof, and every check that needs the
+        spectrum or det M fails with its message. The rejection is
+        remembered like a result: the six checks share one attempt, two
+        spectral ranks."""
+        stars = family_matrix(5, 1)
         calls = []
         monkeypatch.setattr(
-            spectral_mod, "rank", lambda m: calls.append(m) or rank(m) - (m == unit_family)
+            spectral_mod, "rank", lambda m: calls.append(m) or rank(m) - (m == stars)
         )
         failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
-        assert len(calls) == 3
-        message = "eigenvectors of K for 1 are dependent at n=5: rank 8 of 9"
+        assert len(calls) == 2
+        message = "eigenvectors of K for -3 are dependent at n=5: rank 4 of 5"
         assert failed == dict.fromkeys(KNESER_READERS, message)
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
@@ -727,14 +749,16 @@ class TestComputeOnce:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
         """A cold full_spectrum takes one elimination, det M mod p, of side
-        N, and no fraction-free one: the eigenvector groups are proved
-        independent mod p, det M is read off the spectrum of K, and det G is
-        never computed. It reads nothing of the divisor, at n = 3 too: not
-        even the orbit partition behind the Gram entries it audits."""
+        N, and no fraction-free one: it ranks only the ones vector (1 x N)
+        and the n stars (n x N), both proved independent mod p, the traces of
+        K and K^2 prove the eigenvalue 1, det M is read off the spectrum of
+        K, and det G is never computed. It reads nothing of the divisor, at
+        n = 3 too: not even the orbit partition behind the Gram entries it
+        audits."""
         divisor = (
             divisor_quotient, check_equitable, divisor_matrix, divisor_eigenpairs, char_poly
         )
-        calls = record_calls(monkeypatch, (det_fraction_free, det_mod_p, *divisor))
+        calls = record_calls(monkeypatch, (det_fraction_free, det_mod_p, rank, *divisor))
         eliminated = []
         eliminate = linalg_mod._eliminate_fraction_free
         monkeypatch.setattr(
@@ -743,6 +767,8 @@ class TestComputeOnce:
             lambda a, k: eliminated.append(len(a)) or eliminate(a, k),
         )
         full_spectrum(n)
+        size = comb(n + 1, 2)
+        assert [(m.nrows, m.ncols) for (m,) in calls[rank]] == [(1, size), (n, size)]
         assert calls[det_mod_p] == [(build_incidence_matrix(n).num,)]
         assert calls[det_fraction_free] == []
         assert all(calls[fn] == [] for fn in divisor)
@@ -1079,8 +1105,8 @@ class TestGolden:
     tests/golden` (and again with `--format markdown`). CI also compares
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
     --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`
-    through `verify_n48.json`, written the same way with `--n 20 --max-n 24`
-    and, for k = 24, 28, 32, 36, 40 and 48, `--n k --max-n k`. The JSON array
+    through `verify_n56.json`, written the same way with `--n 20 --max-n 24`
+    and, for k = 24, 28, 32, 36, 40, 48 and 56, `--n k --max-n k`. The JSON array
     `verify_n3-5.json` is the stdout of `python -m facevol --n-range 3:5
     --seed 42 --samples 3`."""
 

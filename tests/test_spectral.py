@@ -23,6 +23,7 @@ from facevol.spectral import (
     eigenbasis,
     full_spectrum,
     kneser_matrix,
+    kneser_spectrum,
     spectrum_summary,
 )
 from facevol.subsets import build_incidence_matrix, subsets_colex
@@ -40,6 +41,7 @@ from oracles import (
     rank_subset,
     shifted,
     sympy_det,
+    unit_eigenvectors,
 )
 
 
@@ -236,9 +238,10 @@ class TestSpectrum:
         assert 9 * 1 + 4 * 4 + 1 * 5 == 10 * 3
 
     def test_n3(self):
-        """The Gram matrix is the identity: the three families form one group
-        for the eigenvalue 1, of full rank, and the divisor, defined from
-        n = 4 on, contributes no claim."""
+        """The Gram matrix is the identity: K has the eigenvalue 1 on the
+        ones vector and the two others the traces prove, and -1 on the three
+        stars, and the divisor, defined from n = 4 on, contributes no
+        claim."""
         cert = full_spectrum(3)
         assert spectrum_summary(cert) == "1:6"
         assert [(w.value, w.multiplicity, w.rank_witness) for w in cert.eigenvalues] == [(1, 6, 0)]
@@ -271,14 +274,16 @@ class TestKneser:
 class TestEigenbasis:
     @pytest.mark.parametrize("n", range(3, 13))
     def test_every_vector_is_an_eigenvector_of_its_family(self, n):
-        """Each family lies in the eigenspace of K for its mu, and so in that
-        of G = K^2 for mu^2."""
+        """Each family, and the 4-cycles of the oracle for 1, lies in the
+        eigenspace of K for its mu, and so in that of G = K^2 for mu^2."""
         kneser, gram = kneser_by_intersections(n), build_gram(n)
         size = gram.nrows
         families = eigenbasis(n)
-        assert [mu for mu, _ in families] == [comb(n - 1, 2), 2 - n, 1]
-        assert [len(vectors) for _, vectors in families] == [1, n, (n + 1) * (n - 2) // 2]
-        for mu, vectors in families:
+        assert [mu for mu, _ in families] == [comb(n - 1, 2), 2 - n]
+        assert [len(vectors) for _, vectors in families] == [1, n]
+        cycles = unit_eigenvectors(n)
+        assert len(cycles) == size - 1 - n == (n + 1) * (n - 2) // 2
+        for mu, vectors in (*families, (1, cycles)):
             rows = [dense(x, size) for x in vectors]
             for row in rows:
                 assert any(row)
@@ -289,9 +294,21 @@ class TestEigenbasis:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_family_sizes_are_the_nullities(self, n):
         kneser, gram = kneser_by_intersections(n), build_gram(n)
-        for mu, vectors in eigenbasis(n):
+        for mu, vectors in (*eigenbasis(n), (1, unit_eigenvectors(n))):
             assert len(vectors) == kneser.nrows - bareiss_rank(shifted(kneser, mu))
             assert len(vectors) == gram.nrows - bareiss_rank(shifted(gram, mu**2))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_multiplicity_of_one_is_the_rank_of_its_eigenvectors(self, n):
+        """The multiplicity of 1 that kneser_spectrum proves by traces is the
+        rank of the 4-cycles with every family of eigenvalue 1 (the ones
+        vector at n = 3)."""
+        size = comb(n + 1, 2)
+        ones = [x for mu, vectors in eigenbasis(n) if mu == 1 for x in vectors]
+        rows = [dense(x, size) for x in (*ones, *unit_eigenvectors(n))]
+        witnesses, _ = kneser_spectrum(n)
+        multiplicity = {w.value: w.multiplicity for w in witnesses}
+        assert multiplicity[1] == bareiss_rank(RationalMatrix(rows))
 
     def test_n4_four_cycles(self):
         faces = subsets_colex(5, 3)
@@ -299,7 +316,7 @@ class TestEigenbasis:
         def pair(s, t):
             return next(i for i, f in enumerate(faces) if not {s, t} & set(f))
 
-        cycles = eigenbasis(4)[2][1]
+        cycles = unit_eigenvectors(4)
         # 1-3-4-2: +1 on {1,3} and {4,2}, -1 on {3,4} and {2,1}
         assert dict(cycles[0]) == {pair(1, 3): 1, pair(2, 4): 1, pair(3, 4): -1, pair(1, 2): -1}
         assert len(cycles) == 5
