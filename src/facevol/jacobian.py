@@ -1,6 +1,8 @@
 """Exact derivatives of squared face volumes with respect to squared edge
-lengths, the collapse of the Jacobian to the incidence matrix at the regular
-point, and full-rank certificates for algebraic independence.
+lengths, the proof that the Jacobian at the regular point is a multiple of
+the incidence matrix M, and full-rank certificates for algebraic
+independence: the regular point's rank is read off the proved spectrum of
+K = M R, and only the Jacobians at sampled points are eliminated.
 
 A face's squared volume is a constant times the determinant of its
 Cayley-Menger matrix C, and by Jacobi's formula d det C / d C_ab = adj(C)_ba.
@@ -39,7 +41,8 @@ from .geometry import (
     unit_regular_squared_volume,
 )
 from .linalg import RationalMatrix, rank
-from .subsets import missed_pairs, subsets_colex
+from .spectral import _first_deviation, kneser_spectrum
+from .subsets import build_incidence_matrix, missed_pairs, subsets_colex
 
 RANK_TRANSFER_NOTE = (
     "ranks are of the squared-volume map in squared-length coordinates; "
@@ -101,14 +104,20 @@ def regular_jacobian(n: int) -> RationalMatrix:
     return jacobian_squared_map(EdgeLengthAssignment.regular(n))
 
 
+@one_slot_memo
 def scaled_jacobian_at_regular(n: int) -> RationalMatrix:
-    """(n-1)/(2 F^2) times the squared-coordinate Jacobian at the unit regular
-    point, where F^2 is the common squared codim-2 face volume there. Equals
-    the 0/1 incidence matrix exactly."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    f2 = unit_regular_squared_volume(n - 2)
-    return regular_jacobian(n).scaled(Fraction(n - 1) / (2 * f2))
+    """Proves that (n-1)/(2 F^2) times the squared-coordinate Jacobian at the
+    unit regular point, F^2 the common squared codim-2 face volume there, is
+    the 0/1 incidence matrix M, and returns M's own memoized object. Raises
+    IntegrityError naming the first wrong entry."""
+    scaled = regular_jacobian(n).scaled(Fraction(n - 1) / (2 * unit_regular_squared_volume(n - 2)))
+    m = build_incidence_matrix(n)
+    if scaled != m:
+        raise IntegrityError(
+            "scaled Jacobian at the regular point differs from the incidence matrix "
+            f"at n={n}: {_first_deviation(scaled, m)}"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,7 @@ def _sample_point(n: int, rng: random.Random) -> EdgeLengthAssignment:
 
 
 def _verified_rank(jac: RationalMatrix, point: str) -> int:
-    """Rank of the Jacobian at ``point``, re-verified in reversed order."""
+    """Rank of the Jacobian at a sampled ``point``, re-verified in reversed order."""
     reversed_jac = RationalMatrix._from_ints((row[::-1] for row in jac.num[::-1]), jac.den)
     r, r_reversed = rank(jac), rank(reversed_jac)
     if r_reversed != r:
@@ -146,24 +155,23 @@ def _verified_rank(jac: RationalMatrix, point: str) -> int:
     return r
 
 
-@one_slot_memo
-def regular_rank(n: int) -> int:
-    """The verified rank of the Jacobian at the unit regular point."""
-    return _verified_rank(regular_jacobian(n), f"the regular point, n={n}")
-
-
 def independence_certificate(
     n: int, extra_samples: int = 0, seed: int = 0
 ) -> IndependenceCertificate:
     """Certify full rank of the squared-volume Jacobian at the regular point
-    (and optionally at seeded random nondegenerate points). Raises
-    IntegrityError if all draws for some sample point are degenerate."""
+    (and optionally at seeded random nondegenerate points). J = c M at the
+    regular point (scaled_jacobian_at_regular), so its rank is that of the
+    symmetric K = M R: N minus the multiplicity of 0 in the proved spectrum
+    of K (kneser_spectrum). Raises IntegrityError if either proof fails, or
+    if all draws for some sample point are degenerate."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if extra_samples < 0:
         raise ValueError("extra_samples must be >= 0")
+    scaled_jacobian_at_regular(n)
+    full = comb(n + 1, 2)
     points = [EdgeLengthAssignment.regular(n)]
-    ranks = [regular_rank(n)]
+    ranks = [full - sum(w.multiplicity for w in kneser_spectrum(n)[0] if w.value == 0)]
     rng = random.Random(f"{seed}:{n}")
     for index in range(extra_samples):
         for _ in range(_SAMPLE_RETRIES):
@@ -180,13 +188,11 @@ def independence_certificate(
                 f"sample {index} at n={n}, seed={seed}: all {_SAMPLE_RETRIES} "
                 "draws were degenerate"
             )
-    full = comb(n + 1, 2)
-    f2 = unit_regular_squared_volume(n - 2)
     return IndependenceCertificate(
         n=n,
         full_rank=full,
         ranks=tuple(ranks),
-        scaling_constant_squared=4 * f2 / Fraction(n - 1) ** 2,
+        scaling_constant_squared=4 * unit_regular_squared_volume(n - 2) / Fraction(n - 1) ** 2,
         verdict=any(r == full for r in ranks),
         rank_transfer_note=RANK_TRANSFER_NOTE,
         points=tuple(points),

@@ -173,8 +173,11 @@ class TestScaledJacobian:
         assert scale * Fraction(1, 8) == 1
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_equals_incidence_matrix(self, n):
-        assert scaled_jacobian_at_regular(n) == build_incidence_matrix(n)
+    def test_equals_incidence_matrix(self, n, clear_memos):
+        """Once proved equal, the scaled Jacobian is M's own object: no
+        second side-N matrix stays alive."""
+        clear_memos()
+        assert scaled_jacobian_at_regular(n) is build_incidence_matrix(n)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -263,7 +266,14 @@ class TestIndependenceCertificate:
             cert = independence_certificate(n, extra_samples=1, seed=7)
             assert cert.points[1] == second, k
 
-    def test_rank_agrees_with_sympy(self):
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rank_agrees_with_sympy(self, n):
+        """The regular point's rank, read off the spectrum of K, is sympy's
+        rank of the Jacobian there."""
+        regular = jacobian_squared_map(EdgeLengthAssignment.regular(n))
+        assert sympy_rank(regular) == independence_certificate(n).ranks[0]
+
+    def test_sampled_rank_agrees_with_sympy(self):
         cert = independence_certificate(4, extra_samples=1, seed=5)
         for point, rk in zip(cert.points, cert.ranks):
             assert sympy_rank(jacobian_squared_map(point)) == rk

@@ -48,6 +48,7 @@ from facevol.report import (
     verify_single,
 )
 from facevol.spectral import (
+    EigenvalueWitness,
     build_gram,
     check_equitable,
     divisor_eigenpairs,
@@ -56,6 +57,7 @@ from facevol.spectral import (
     divisor_spectrum,
     full_spectrum,
     kneser_matrix,
+    kneser_spectrum,
 )
 from facevol.subsets import build_incidence_matrix, intersection_classes
 
@@ -77,10 +79,10 @@ def report_n4():
 GELFAND_CHECKS = ("orbital_commutativity", "eigenspace_structure", "eigenvector_matching")
 # The checks that read the divisor's proved spectrum, those that read the
 # Gram spectrum certificate, and those that read the spectrum proof of K, the
-# determinant of M among them.
+# determinant of M and the regular point's rank among them.
 DIVISOR_READERS = ("divisor_char_poly_divides", *GELFAND_CHECKS)
 SPECTRUM_READERS = ("divisor_char_poly_divides", "spectrum_certificate", *GELFAND_CHECKS)
-KNESER_READERS = (*SPECTRUM_READERS, "incidence_determinant")
+KNESER_READERS = (*SPECTRUM_READERS, "incidence_determinant", "independence_certificate")
 
 
 # Faults for single stages. Each returns every check it must fail, and the
@@ -88,12 +90,14 @@ KNESER_READERS = (*SPECTRUM_READERS, "incidence_determinant")
 
 
 def flip_reversed_rank(monkeypatch):
-    jac = jacobian_squared_map(EdgeLengthAssignment.regular(5))
+    # The reversed Jacobian of the first sampled point at seed 0 ranked one
+    # too high: a fault of one sample, not of a stage at samples = 0.
+    jac = jacobian_squared_map(independence_certificate(5, 1, 0).points[1])
     flipped = RationalMatrix([row[::-1] for row in jac.rows[::-1]])
     monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) + (m == flipped))
     return (
         ("independence_certificate",),
-        "rank witness failed re-verification at the regular point, n=5: rank 15, reversed 16",
+        "rank witness failed re-verification at sample 0, n=5: rank 15, reversed 16",
     )
 
 
@@ -338,10 +342,35 @@ def two_distinct_eigenvalues(monkeypatch):
 
 
 def rank_one_short(monkeypatch):
-    # Forward and reversed ranks agree, so the re-verification passes and
-    # only the verdict is false.
-    monkeypatch.setattr(jacobian_mod, "rank", lambda m: rank(m) - 1)
+    # The spectrum of K as the Jacobian reads it, with one eigenvalue 0 in
+    # place of a 1: the regular rank is read as N minus the multiplicity of
+    # 0, not assumed to be N, and only the verdict is false.
+    (largest, middle, unit), det_m = kneser_spectrum(5)
+    short = (
+        largest,
+        middle,
+        EigenvalueWitness(unit.value, unit.multiplicity - 1, unit.rank_witness + 1),
+        EigenvalueWitness(Fraction(0), 1, 14),
+    )
+    monkeypatch.setattr(jacobian_mod, "kneser_spectrum", lambda n: (short, det_m))
     return ("independence_certificate",), "no Jacobian has full rank at n=5: ranks [14] of 15"
+
+
+def regular_jacobian_not_incidence(monkeypatch):
+    # One entry of the regular Jacobian doubled, as the identity reads it: the
+    # tampered matrix keeps full rank, so only the identity, which the regular
+    # rank rests on, sees it. The FD check reads the Jacobian through its own
+    # binding.
+    jac = jacobian_mod.regular_jacobian(5)
+    num = [list(row) for row in jac.num]
+    num[0][0] *= 2
+    tampered = RationalMatrix._from_ints(num, jac.den)
+    monkeypatch.setattr(jacobian_mod, "regular_jacobian", lambda n: tampered)
+    return (
+        ("jacobian_identity", "independence_certificate"),
+        "scaled Jacobian at the regular point differs from the incidence matrix at n=5: "
+        "entry (0, 0) is 2, expected 1",
+    )
 
 
 def perturbed_fd_jacobian(monkeypatch):
@@ -360,7 +389,6 @@ def perturbed_fd_jacobian(monkeypatch):
 
 
 STAGE_FAULTS = [
-    flip_reversed_rank,
     perturb_divisor_closed_form,
     misclassify_one_pair,
     asymmetric_a2,
@@ -383,6 +411,7 @@ STAGE_FAULTS = [
     asymmetric_gram,
     two_distinct_eigenvalues,
     rank_one_short,
+    regular_jacobian_not_incidence,
     perturbed_fd_jacobian,
 ]
 
@@ -539,16 +568,21 @@ class TestPipeline:
     )
     def test_incidence_structure_names_the_offending_value(self, monkeypatch, entries, message):
         """A wrong incidence matrix fails the structure check with n and its
-        first offending entry or sum; the Jacobian identity, which reads the
-        same matrix, fails too, with its own message."""
+        first offending entry or sum; the Jacobian identity, served the same
+        matrix, fails too, with its own message, and so does the independence
+        certificate, whose regular rank rests on the identity."""
         num = [list(row) for row in build_incidence_matrix(5).num]
         for (i, j), x in entries.items():
             num[i][j] = x
         tampered = RationalMatrix._from_ints(num, 1)
-        monkeypatch.setattr(report_mod, "build_incidence_matrix", lambda n: tampered)
+        for mod in (report_mod, jacobian_mod):
+            monkeypatch.setattr(mod, "build_incidence_matrix", lambda n: tampered)
         failed = {c.name: c.details for c in verify_single(5, 0, 0).checks if c.status == "fail"}
-        assert failed.keys() == {"incidence_structure", "jacobian_identity"}
+        assert failed.keys() == {
+            "incidence_structure", "jacobian_identity", "independence_certificate"
+        }
         assert failed["incidence_structure"] == message
+        assert failed["independence_certificate"] == failed["jacobian_identity"]
         assert failed["jacobian_identity"].startswith(
             "scaled Jacobian at the regular point differs from the incidence matrix at n=5: "
         )
@@ -566,9 +600,9 @@ class TestPipeline:
     def test_underreported_nullity_fails_divisibility_and_spectrum(self, monkeypatch, capsys):
         """A rank that under-reports the stars, the eigenvector family of
         eigenvalue -3 of K, breaks the proof, and every check that needs the
-        spectrum or det M fails with its message. The rejection is
-        remembered like a result: the six checks share one attempt, two
-        spectral ranks."""
+        spectrum, det M or the regular rank fails with its message. The
+        rejection is remembered like a result: the seven checks share one
+        attempt, two spectral ranks."""
         stars = family_matrix(5, 1)
         calls = []
         monkeypatch.setattr(
@@ -631,6 +665,19 @@ class TestPipeline:
         assert CheckResult("spectrum_certificate", "pass", "36:1, 9:5, 1:9") in checks
         capsys.readouterr()
         assert main(["--n", "5", "--samples", "0"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_reversed_rank_fault_fails_the_sampled_certificate(self, monkeypatch, capsys):
+        """A reversed rank that disagrees at a sampled point fails the
+        independence certificate alone, naming the sample. The regular
+        point's rank is read off the spectrum of K and is not re-verified."""
+        checks, message = flip_reversed_rank(monkeypatch)
+        rep = verify_single(5, samples=1, seed=0)
+        assert {c.name: c.details for c in rep.checks if c.status != "pass"} == dict.fromkeys(
+            checks, message
+        )
+        capsys.readouterr()
+        assert main(["--n", "5", "--samples", "1", "--seed", "0"]) == 1
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("fault", STAGE_FAULTS)
@@ -720,9 +767,9 @@ class TestComputeOnce:
             assert not repeats, f"{fn.__name__} repeated {len(repeats)} times"
 
     def test_full_rank_jacobians_skip_bareiss(self, monkeypatch):
-        """Every Jacobian rank, regular and sampled, forward and reversed, is
+        """Every Jacobian rank, of a sampled point, forward and reversed, is
         proved mod p: no fraction-free elimination runs inside one, while it
-        still runs for the determinants."""
+        still runs for the determinants. The regular point takes no rank."""
         jacobians, open_ranks, leaked, eliminated = [], [], [], []
 
         def jacobian_rank(m):
@@ -741,10 +788,30 @@ class TestComputeOnce:
         monkeypatch.setattr(jacobian_mod, "rank", jacobian_rank)
         monkeypatch.setattr(linalg_mod, "_eliminate_fraction_free", recorded_elimination)
         verify_single(7, samples=2, seed=3)
-        assert [(m.nrows, m.ncols) for m in jacobians] == [(28, 28)] * 6
+        assert [(m.nrows, m.ncols) for m in jacobians] == [(28, 28)] * 4
         assert all(m.den != 1 for m in jacobians)
         assert eliminated
         assert not leaked, f"{len(leaked)} Jacobian ranks fell back to elimination"
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_regular_point_takes_no_elimination(self, monkeypatch, n):
+        """A cold report without samples eliminates one side-N matrix mod p,
+        M for det M: the identity, run once, proves the scaled regular
+        Jacobian equal to M, its rank is read off the spectrum of K, and no
+        Jacobian rank runs."""
+        calls = record_calls(monkeypatch, (det_mod_p, scaled_jacobian_at_regular))
+        eliminated, ranked = [], []
+        eliminate = linalg_mod._eliminate_mod_p
+        monkeypatch.setattr(
+            linalg_mod, "_eliminate_mod_p", lambda num: eliminated.append(num) or eliminate(num)
+        )
+        monkeypatch.setattr(jacobian_mod, "rank", lambda m: ranked.append(m) or rank(m))
+        verify_single(n, samples=0)
+        m = build_incidence_matrix(n)
+        assert [num for num in eliminated if len(num) == m.nrows] == [m.num]
+        assert calls[det_mod_p] == [(m.num,)]
+        assert ranked == []
+        assert calls[scaled_jacobian_at_regular] == [(n,)]
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_spectrum_eliminates_only_det_m(self, monkeypatch, n):
@@ -1106,7 +1173,9 @@ class TestGolden:
     `verify_n16.json`, written by `python -m facevol --n 16 --seed 42
     --samples 3 --output tests/golden/verify_n16.json`, and `verify_n20.json`
     through `verify_n56.json`, written the same way with `--n 20 --max-n 24`
-    and, for k = 24, 28, 32, 36, 40, 48 and 56, `--n k --max-n k`. The JSON array
+    and, for k = 24, 28, 32, 36, 40, 48 and 56, `--n k --max-n k`, and
+    `verify_n64_samples0.json`, written with `--n 64 --max-n 64 --seed 42
+    --samples 0 --output tests/golden/verify_n64_samples0.json`. The JSON array
     `verify_n3-5.json` is the stdout of `python -m facevol --n-range 3:5
     --seed 42 --samples 3`."""
 
